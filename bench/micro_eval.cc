@@ -1,9 +1,7 @@
-// PR 3 microbenchmarks: compiled expression programs vs the reference
-// interpreter, packed aggregation keys vs Row keys, and the end-to-end
-// effect on workload queries with the engine flipped off/on. Emits JSONL
-// via --json= (BENCH_PR3.json in EXPERIMENTS.md); "speedup" is
-// interpreted-time / compiled-time for the micro sections and off-time /
-// on-time for the end-to-end section.
+// Microbenchmarks: compiled expression programs vs the reference
+// interpreter, and packed aggregation keys vs Row keys. Emits JSONL via
+// --json= (BENCH_PR3.json in EXPERIMENTS.md); "speedup" is interpreted-time
+// / compiled-time, or Row-key time / packed-key time.
 
 #include <algorithm>
 #include <cstdio>
@@ -11,7 +9,6 @@
 #include <vector>
 
 #include "bench/bench_util.h"
-#include "bench/workload_queries.h"
 #include "src/exec/key_codec.h"
 #include "src/expr/compiled.h"
 #include "src/expr/evaluator.h"
@@ -176,49 +173,9 @@ void BenchAggKeys(JsonWriter* json, const std::vector<Row>& rows, int reps) {
   json->Record("micro agg-key packed", 1, packed_s * 1e3, speedup);
 }
 
-void BenchEndToEnd(JsonWriter* json, int threads) {
-  std::unique_ptr<Database> db = MakeScoreDb(Scaled(3000));
-  const std::vector<NamedQuery> queries = {
-      {"Q1 skyband(hits,hruns) k=50", SkybandSql("hits", "hruns", 50), false},
-      {"Q4 pairs c=6 k=20 AVG", PairsSql(6, 20, "AVG"), true},
-      {"Q8 player-avg skyband k=30", PlayerAvgSkybandSql(30), false},
-  };
-  ExecOptions exec;
-  exec.num_threads = threads;
-  std::printf("\nend-to-end (baseline executor, %d thread%s, scale %zu "
-              "rows):\n",
-              threads, threads == 1 ? "" : "s", Scaled(3000));
-  constexpr int kTrials = 3;
-  for (const NamedQuery& q : queries) {
-    size_t rows_off = 0, rows_on = 0;
-    double off_s = 0, on_s = 0;
-    SetCompiledExprEnabled(false);
-    for (int t = 0; t < kTrials; ++t) {
-      double s = TimeBaseline(db.get(), q.sql, exec, &rows_off);
-      if (t == 0 || s < off_s) off_s = s;
-    }
-    SetCompiledExprEnabled(true);
-    for (int t = 0; t < kTrials; ++t) {
-      double s = TimeBaseline(db.get(), q.sql, exec, &rows_on);
-      if (t == 0 || s < on_s) on_s = s;
-    }
-    if (rows_off != rows_on) {
-      std::fprintf(stderr, "MISMATCH in %s: %zu vs %zu rows\n",
-                   q.name.c_str(), rows_off, rows_on);
-      std::exit(1);
-    }
-    double speedup = on_s > 0 ? off_s / on_s : 0.0;
-    std::printf("  %-28s off %8.1f ms   on %8.1f ms   %5.2fx\n",
-                q.name.c_str(), off_s * 1e3, on_s * 1e3, speedup);
-    json->Record(q.name + " compiled=off", threads, off_s * 1e3, 1.0);
-    json->Record(q.name + " compiled=on", threads, on_s * 1e3, speedup);
-  }
-}
-
 int Main(int argc, char** argv) {
   BenchFlags flags = ParseBenchFlags(argc, argv);
   JsonWriter json(flags.json_path);
-  const int threads = flags.threads <= 0 ? 1 : flags.threads;
 
   std::vector<Row> rows = MakeRows(4096);
   const int reps = static_cast<int>(Scaled(400));
@@ -231,8 +188,6 @@ int Main(int argc, char** argv) {
                 Bin(BinaryOp::kLt, ColIx(0), LitInt(32)), rows, reps);
   std::printf("\naggregation keys (%zu rows x %d reps):\n", rows.size(), reps);
   BenchAggKeys(&json, rows, reps);
-  BenchEndToEnd(&json, threads);
-  SetCompiledExprEnabled(true);
   json.RecordMetrics("micro_eval end-of-run");
   FinishBenchTrace(flags);
   return 0;

@@ -117,7 +117,9 @@ class Database {
                                     IcebergOptions options,
                                     IcebergReport* report);
 
-  /// Applies the block's ORDER BY / LIMIT to a materialized result.
+  /// Applies the block's ORDER BY / LIMIT to a materialized result. Rows of
+  /// a GROUP BY block are first put in canonical order, so ties break the
+  /// same way on both engines and at every thread count.
   static TablePtr ApplyOrderAndLimit(const QueryBlock& block,
                                      TablePtr result);
 

@@ -14,25 +14,44 @@ namespace {
 constexpr size_t kInitialBuckets = 256;
 }  // namespace
 
-Aggregator::Aggregator(const QueryBlock& block) : block_(block) {
+CompiledProjection::CompiledProjection(const QueryBlock& block) {
+  if (block.having != nullptr) having_ = CompiledExpr::Compile(*block.having);
+  select_.reserve(block.select.size());
+  for (const BoundSelectItem& item : block.select) {
+    select_.push_back(CompiledExpr::Compile(*item.expr));
+  }
+}
+
+bool CompiledProjection::Project(const Row& row, const AggValueMap* agg_values,
+                                 EvalScratch* scratch, Row* out) const {
+  if (having_.valid() && !having_.RunPredicate(row, scratch, agg_values)) {
+    return false;
+  }
+  out->clear();
+  out->reserve(select_.size());
+  for (const CompiledExpr& p : select_) {
+    out->push_back(p.Run(row, scratch, agg_values));
+  }
+  return true;
+}
+
+Aggregator::Aggregator(const QueryBlock& block)
+    : block_(block),
+      group_progs_(CompileAll(block.group_by)),
+      codec_(CodecForExprs(block.group_by, BlockColumnTypes(block))) {
   CollectAggregates(block.having, &agg_nodes_);
   for (const BoundSelectItem& item : block.select) {
     CollectAggregates(item.expr, &agg_nodes_);
   }
-  if (CompiledExprEnabled()) {
-    group_progs_ = CompileAll(block.group_by);
-    arg_progs_.reserve(agg_nodes_.size());
-    for (const ExprPtr& agg : agg_nodes_) {
-      if (agg->agg == AggFunc::kCountStar) {
-        arg_progs_.emplace_back();  // no argument to evaluate
-      } else {
-        arg_progs_.push_back(CompiledExpr::Compile(*agg->children[0]));
-      }
+  arg_progs_.reserve(agg_nodes_.size());
+  for (const ExprPtr& agg : agg_nodes_) {
+    if (agg->agg == AggFunc::kCountStar) {
+      arg_progs_.emplace_back();  // no argument to evaluate
+    } else {
+      arg_progs_.push_back(CompiledExpr::Compile(*agg->children[0]));
     }
-    codec_ = CodecForExprs(block.group_by, BlockColumnTypes(block));
-    packed_ = codec_.usable();
   }
-  if (packed_) {
+  if (codec_.usable()) {
     packed_groups_.reserve(kInitialBuckets);
   } else {
     groups_.reserve(kInitialBuckets);
@@ -53,13 +72,8 @@ bool Aggregator::IsAggregated() const {
 
 void Aggregator::EvalKeys(const Row& joined_row) {
   key_scratch_.clear();
-  const size_t n = block_.group_by.size();
-  for (size_t i = 0; i < n; ++i) {
-    if (i < group_progs_.size() && group_progs_[i].valid()) {
-      key_scratch_.push_back(group_progs_[i].Run(joined_row, &scratch_));
-    } else {
-      key_scratch_.push_back(Evaluate(*block_.group_by[i], joined_row));
-    }
+  for (const CompiledExpr& p : group_progs_) {
+    key_scratch_.push_back(p.Run(joined_row, &scratch_));
   }
 }
 
@@ -90,13 +104,10 @@ Aggregator::GroupState Aggregator::MakeState(const Row& joined_row) const {
 
 void Aggregator::Accumulate(GroupState* state, const Row& joined_row) {
   for (size_t i = 0; i < agg_nodes_.size(); ++i) {
-    const ExprPtr& agg = agg_nodes_[i];
-    if (agg->agg == AggFunc::kCountStar) {
+    if (agg_nodes_[i]->agg == AggFunc::kCountStar) {
       state->accumulators[i].Add(Value::Null());
-    } else if (i < arg_progs_.size() && arg_progs_[i].valid()) {
-      state->accumulators[i].Add(arg_progs_[i].Run(joined_row, &scratch_));
     } else {
-      state->accumulators[i].Add(Evaluate(*agg->children[0], joined_row));
+      state->accumulators[i].Add(arg_progs_[i].Run(joined_row, &scratch_));
     }
   }
 }
@@ -105,7 +116,7 @@ void Aggregator::AddRow(const Row& joined_row) {
   if (reserve_failed_) return;  // budget overrun already poisoned the query
   EvalKeys(joined_row);
   GroupState* state;
-  if (packed_) {
+  if (codec_.usable()) {
     codec_.Encode(key_scratch_.data(), key_scratch_.size(), &packed_scratch_);
     auto it = packed_groups_.find(packed_scratch_);
     if (it == packed_groups_.end()) {
@@ -181,23 +192,19 @@ Result<TablePtr> Aggregator::Finalize(ExecStats* stats) const {
 Result<TablePtr> Aggregator::FinalizeInternal(ExecStats* stats) const {
   auto result = std::make_shared<Table>(block_.output_schema);
   if (stats != nullptr) stats->groups_created += num_groups();
+  const CompiledProjection projection(block_);
+  EvalScratch scratch;
+  AggValueMap agg_values;
 
   // SQL scalar-aggregate semantics: with no GROUP BY, an aggregated query
   // over empty input still yields one group.
   if (num_groups() == 0 && block_.group_by.empty() && !agg_nodes_.empty()) {
-    AggValueMap agg_values;
-    std::vector<Accumulator> empty;
-    for (const ExprPtr& agg : agg_nodes_) empty.emplace_back(agg->agg);
-    for (size_t i = 0; i < agg_nodes_.size(); ++i) {
-      agg_values[agg_nodes_[i].get()] = empty[i].Final();
+    for (const ExprPtr& agg : agg_nodes_) {
+      agg_values[agg.get()] = Accumulator(agg->agg).Final();
     }
     Row dummy(block_.TotalWidth(), Value::Null());
-    if (block_.having == nullptr ||
-        EvaluatePredicate(*block_.having, dummy, &agg_values)) {
-      Row out;
-      for (const BoundSelectItem& item : block_.select) {
-        out.push_back(Evaluate(*item.expr, dummy, &agg_values));
-      }
+    Row out;
+    if (projection.Project(dummy, &agg_values, &scratch, &out)) {
       result->AppendUnchecked(std::move(out));
       if (stats != nullptr) stats->groups_output += 1;
     }
@@ -206,19 +213,13 @@ Result<TablePtr> Aggregator::FinalizeInternal(ExecStats* stats) const {
 
   std::set<Row, RowLess> distinct_rows;
   auto emit_group = [&](const GroupState& state) {
-    AggValueMap agg_values;
     for (size_t i = 0; i < agg_nodes_.size(); ++i) {
       agg_values[agg_nodes_[i].get()] = state.accumulators[i].Final();
     }
-    if (block_.having != nullptr &&
-        !EvaluatePredicate(*block_.having, state.representative,
-                           &agg_values)) {
-      return;
-    }
     Row out;
-    out.reserve(block_.select.size());
-    for (const BoundSelectItem& item : block_.select) {
-      out.push_back(Evaluate(*item.expr, state.representative, &agg_values));
+    if (!projection.Project(state.representative, &agg_values, &scratch,
+                            &out)) {
+      return;
     }
     if (block_.distinct) {
       if (!distinct_rows.insert(out).second) return;

@@ -16,6 +16,25 @@
 
 namespace iceberg {
 
+/// A block's HAVING and select list, compiled once per operator: the
+/// finalization step shared by the aggregator, the executor's
+/// non-aggregated projection and the NLJP operator's Q_P.
+class CompiledProjection {
+ public:
+  CompiledProjection() = default;  // projects to an empty row
+  explicit CompiledProjection(const QueryBlock& block);
+
+  /// Unless HAVING rejects `row`, projects it through the select list into
+  /// `out` and returns true. `agg_values` holds the group's aggregate
+  /// values (null for a non-aggregated block).
+  bool Project(const Row& row, const AggValueMap* agg_values,
+               EvalScratch* scratch, Row* out) const;
+
+ private:
+  CompiledExpr having_;  // invalid when the block has no HAVING
+  std::vector<CompiledExpr> select_;
+};
+
 /// Hash-aggregation state shared by the baseline executor and the NLJP
 /// post-processing stage: groups joined rows by the block's GROUP BY keys,
 /// maintains one Accumulator per aggregate subexpression of HAVING and the
@@ -83,13 +102,13 @@ class Aggregator {
 
   const QueryBlock& block_;
   std::vector<ExprPtr> agg_nodes_;
-  // Compiled programs (empty / invalid entries => interpreter fallback).
   std::vector<CompiledExpr> group_progs_;
-  std::vector<CompiledExpr> arg_progs_;  // parallel to agg_nodes_
+  // Parallel to agg_nodes_; invalid for COUNT(*), which has no argument.
+  std::vector<CompiledExpr> arg_progs_;
   KeyCodec codec_;
-  bool packed_ = false;
 
-  // Exactly one of the two maps is used per query, decided at construction.
+  // Exactly one of the two maps is used per query: the packed one when
+  // codec_ is usable.
   std::unordered_map<Row, GroupState, RowHash, RowEq> groups_;
   std::unordered_map<PackedKey, GroupState, PackedKeyHash, PackedKeyEq>
       packed_groups_;

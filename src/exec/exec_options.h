@@ -9,21 +9,9 @@
 
 namespace iceberg {
 
-/// Which baseline system the executor emulates.
-///
-///  - kPostgres: sequential execution, prefers indexed nested-loop joins
-///    followed by hash aggregation (the plans shown in the paper's
-///    Appendix E for baseline PostgreSQL).
-///  - kVendorA: the commercial "Vendor A" of the paper; same plan space but
-///    makes aggressive use of parallelism (4 workers by default).
-enum class ExecProfile {
-  kPostgres,
-  kVendorA,
-};
-
 /// Process-wide chicken bit for the vectorized (batch-at-a-time) scan
-/// paths, mirroring SetCompiledExprEnabled. Default on; seeded once from
-/// the ICEBERG_VECTORIZE environment variable (set to "0..." to disable).
+/// paths. Default on; seeded once from the ICEBERG_VECTORIZE environment
+/// variable (set to "0..." to disable).
 /// Checked at plan time, so flips affect subsequently planned queries.
 bool VectorizedExecEnabled();
 void SetVectorizedExecEnabled(bool enabled);
@@ -49,17 +37,15 @@ struct TransferSchedule;   // src/exec/transfer_graph.h
 struct JoinOrderSchedule;  // src/plan/cost/join_order.h
 
 struct ExecOptions {
-  ExecProfile profile = ExecProfile::kPostgres;
-
   /// Whether secondary indexes may be used for join probing (the paper's
   /// "BT" index-configuration axis in Fig. 4).
   bool use_indexes = true;
 
   /// Worker threads for the join + partial-aggregation pipeline, morsel-
   /// driven (src/exec/task_pool.h). 0 = auto (hardware_concurrency());
-  /// 1 = exactly the serial paths (no pool, no canonical reordering). The
-  /// Vendor A profile pins 4, matching the paper's setup ("Vendor A using
-  /// all 4 cores"). When the resolved count exceeds 1, output rows are
+  /// 1 = exactly the serial paths (no pool, no canonical reordering).
+  /// VendorA() pins 4, matching the paper's setup ("Vendor A using all 4
+  /// cores"). When the resolved count exceeds 1, output rows are
   /// canonically sorted so results are byte-identical across thread
   /// counts.
   int num_threads = 0;
@@ -109,10 +95,11 @@ struct ExecOptions {
   JoinOrderSchedule* join_order_capture = nullptr;
   const JoinOrderSchedule* join_order_replay = nullptr;
 
+  /// The paper's two baselines: PostgreSQL (the defaults) and the
+  /// commercial "Vendor A" (the same plan space on all 4 cores).
   static ExecOptions Postgres() { return ExecOptions{}; }
   static ExecOptions VendorA() {
     ExecOptions o;
-    o.profile = ExecProfile::kVendorA;
     o.num_threads = 4;
     return o;
   }

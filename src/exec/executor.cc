@@ -163,8 +163,7 @@ CboPlan PlanCboOrder(const QueryBlock& block, const ExecOptions& options,
   if (plan.topts.enabled && PredicateTransferEnabled()) {
     TransferPlanOptions topts = plan.topts;
     topts.governor = governor;
-    const bool vec = options.vectorize && VectorizedExecEnabled() &&
-                     CompiledExprEnabled();
+    const bool vec = options.vectorize && VectorizedExecEnabled();
     topts.use_zone_maps = topts.use_zone_maps && vec;
     xfer = BuildTransferGraph(block, topts);
   }
@@ -350,23 +349,10 @@ Result<TablePtr> Executor::ExecuteInternal(const QueryBlock& original,
   };
   // Select-list projection compiled once per query; workers evaluate with
   // thread-local stacks (CompiledExpr::Run is const and thread-safe).
-  std::vector<CompiledExpr> select_progs;
-  if (CompiledExprEnabled()) {
-    select_progs.reserve(block.select.size());
-    for (const BoundSelectItem& item : block.select) {
-      select_progs.push_back(CompiledExpr::Compile(*item.expr));
-    }
-  }
+  const CompiledProjection projection(block);
   auto project = [&](const Row& joined, EvalScratch* scratch) {
     Row out;
-    out.reserve(block.select.size());
-    for (size_t i = 0; i < block.select.size(); ++i) {
-      if (i < select_progs.size() && select_progs[i].valid()) {
-        out.push_back(select_progs[i].Run(joined, scratch));
-      } else {
-        out.push_back(Evaluate(*block.select[i].expr, joined));
-      }
-    }
+    projection.Project(joined, nullptr, scratch, &out);
     return out;
   };
   if (!parallel) {
@@ -476,13 +462,7 @@ Result<TablePtr> GroupAndProject(const QueryBlock& block,
   if (!agg.IsAggregated()) {
     auto result = std::make_shared<Table>(block.output_schema);
     std::set<Row, RowLess> distinct_rows;
-    std::vector<CompiledExpr> select_progs;
-    if (CompiledExprEnabled()) {
-      select_progs.reserve(block.select.size());
-      for (const BoundSelectItem& item : block.select) {
-        select_progs.push_back(CompiledExpr::Compile(*item.expr));
-      }
-    }
+    const CompiledProjection projection(block);
     EvalScratch scratch;
     size_t processed = 0;
     for (const Row& joined : joined_rows) {
@@ -490,14 +470,7 @@ Result<TablePtr> GroupAndProject(const QueryBlock& block,
         ICEBERG_RETURN_NOT_OK(governor->Check());
       }
       Row out;
-      out.reserve(block.select.size());
-      for (size_t i = 0; i < block.select.size(); ++i) {
-        if (i < select_progs.size() && select_progs[i].valid()) {
-          out.push_back(select_progs[i].Run(joined, &scratch));
-        } else {
-          out.push_back(Evaluate(*block.select[i].expr, joined));
-        }
-      }
+      projection.Project(joined, nullptr, &scratch, &out);
       if (block.distinct && !distinct_rows.insert(out).second) continue;
       result->AppendUnchecked(std::move(out));
     }

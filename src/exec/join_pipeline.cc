@@ -4,7 +4,6 @@
 #include <cstdio>
 
 #include "src/common/logging.h"
-#include "src/expr/evaluator.h"
 #include "src/obs/trace.h"
 
 namespace iceberg {
@@ -68,8 +67,7 @@ Result<JoinPipeline> JoinPipeline::Plan(const QueryBlock& block,
                                         const TransferPlanOptions& transfer,
                                         const PipelinePlanHints* hints) {
   JoinPipeline pipeline(block);
-  const bool vec =
-      vectorize && VectorizedExecEnabled() && CompiledExprEnabled();
+  const bool vec = vectorize && VectorizedExecEnabled();
   const size_t num_tables = block.tables.size();
   ICEBERG_CHECK(num_tables >= 1);
 
@@ -225,15 +223,12 @@ Result<JoinPipeline> JoinPipeline::Plan(const QueryBlock& block,
     pipeline.levels_.push_back(std::move(jl));
   }
 
-  // Compile the per-level expressions once per query; the interpreter
-  // remains the fallback when the compiled engine is globally disabled.
-  if (CompiledExprEnabled()) {
-    for (JoinLevel& jl : pipeline.levels_) {
-      jl.residual_progs = CompileAll(jl.residual);
-      jl.probe_progs = CompileAll(jl.probe_exprs);
-      if (jl.bound_expr != nullptr) {
-        jl.bound_prog = CompiledExpr::Compile(*jl.bound_expr);
-      }
+  // Compile the per-level expressions once per query.
+  for (JoinLevel& jl : pipeline.levels_) {
+    jl.residual_progs = CompileAll(jl.residual);
+    jl.probe_progs = CompileAll(jl.probe_exprs);
+    if (jl.bound_expr != nullptr) {
+      jl.bound_prog = CompiledExpr::Compile(*jl.bound_expr);
     }
   }
 
@@ -251,10 +246,9 @@ Result<JoinPipeline> JoinPipeline::Plan(const QueryBlock& block,
           hints->prefer_row_scan[level] != 0) {
         continue;
       }
-      if (jl.residual_progs.size() != jl.residual.size()) continue;
       bool batchable = true;
       for (const CompiledExpr& p : jl.residual_progs) {
-        if (!p.valid() || !p.batchable()) batchable = false;
+        if (!p.batchable()) batchable = false;
       }
       if (!batchable) continue;
       const Table& table = *block.tables[jl.table_index].table;
@@ -376,19 +370,10 @@ Status JoinPipeline::Run(size_t outer_begin, size_t outer_end,
       const Row& row = outer.row(i);
       partial.assign(row.begin(), row.end());
       bool pass = true;
-      if (!l0.residual_progs.empty()) {
-        for (const CompiledExpr& p : l0.residual_progs) {
-          if (!p.RunPredicate(partial, &scratch.eval)) {
-            pass = false;
-            break;
-          }
-        }
-      } else {
-        for (const ExprPtr& p : l0.residual) {
-          if (!EvaluatePredicate(*p, partial)) {
-            pass = false;
-            break;
-          }
+      for (const CompiledExpr& p : l0.residual_progs) {
+        if (!p.RunPredicate(partial, &scratch.eval)) {
+          pass = false;
+          break;
         }
       }
       if (!pass) continue;
@@ -457,7 +442,6 @@ void JoinPipeline::RunLevel(size_t level, Row* partial,
                             RunScratch* scratch) const {
   const JoinLevel& jl = levels_[level];
   const Table& table = *block_->tables[jl.table_index].table;
-  const bool compiled = !jl.residual_progs.empty() || jl.residual.empty();
 
   // Transfer selection for this level's relation: rows it dropped provably
   // join with nothing, so every access method skips them up front.
@@ -475,19 +459,10 @@ void JoinPipeline::RunLevel(size_t level, Row* partial,
     size_t base = partial->size();
     partial->insert(partial->end(), inner_row.begin(), inner_row.end());
     bool pass = true;
-    if (compiled) {
-      for (const CompiledExpr& p : jl.residual_progs) {
-        if (!p.RunPredicate(*partial, &scratch->eval)) {
-          pass = false;
-          break;
-        }
-      }
-    } else {
-      for (const ExprPtr& p : jl.residual) {
-        if (!EvaluatePredicate(*p, *partial)) {
-          pass = false;
-          break;
-        }
+    for (const CompiledExpr& p : jl.residual_progs) {
+      if (!p.RunPredicate(*partial, &scratch->eval)) {
+        pass = false;
+        break;
       }
     }
     if (pass) {
@@ -509,14 +484,8 @@ void JoinPipeline::RunLevel(size_t level, Row* partial,
   auto fill_probe_key = [&]() -> Row& {
     Row& key = scratch->probe_keys[level];
     key.clear();
-    if (!jl.probe_progs.empty()) {
-      for (const CompiledExpr& e : jl.probe_progs) {
-        key.push_back(e.Run(*partial, &scratch->eval));
-      }
-    } else {
-      for (const ExprPtr& e : jl.probe_exprs) {
-        key.push_back(Evaluate(*e, *partial));
-      }
+    for (const CompiledExpr& e : jl.probe_progs) {
+      key.push_back(e.Run(*partial, &scratch->eval));
     }
     return key;
   };
@@ -617,9 +586,7 @@ void JoinPipeline::RunLevel(size_t level, Row* partial,
     case JoinMethod::kOrderedIndexRange: {
       Row& bound = scratch->probe_keys[level];
       bound.clear();
-      bound.push_back(jl.bound_prog.valid()
-                          ? jl.bound_prog.Run(*partial, &scratch->eval)
-                          : Evaluate(*jl.bound_expr, *partial));
+      bound.push_back(jl.bound_prog.Run(*partial, &scratch->eval));
       if (stats != nullptr) ++stats->index_probes;
       std::vector<size_t> ids =
           jl.is_lower_bound
@@ -664,11 +631,9 @@ std::string JoinPipeline::Explain() const {
     }
     if (!jl.residual_progs.empty() || !jl.probe_progs.empty()) {
       size_t ops = 0;
-      size_t fused = 0;
       for (const CompiledExpr& p : jl.residual_progs) ops += p.num_ops();
       for (const CompiledExpr& p : jl.probe_progs) ops += p.num_ops();
       if (jl.bound_prog.valid()) ops += jl.bound_prog.num_ops();
-      (void)fused;
       out += " [compiled: " + std::to_string(ops) + " ops]";
     }
     if (jl.chunks != nullptr) {

@@ -51,8 +51,7 @@ struct JoinLevel {
   // Residual predicates checked after the level's row is appended.
   std::vector<ExprPtr> residual;
 
-  // Compiled programs for the level's expressions (empty when the compiled
-  // engine is disabled; Run then falls back to the reference interpreter).
+  // Compiled programs for the level's expressions.
   std::vector<CompiledExpr> residual_progs;
   std::vector<CompiledExpr> probe_progs;
   CompiledExpr bound_prog;

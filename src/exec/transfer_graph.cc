@@ -10,7 +10,6 @@
 #include "src/exec/key_codec.h"
 #include "src/exec/task_pool.h"
 #include "src/expr/compiled.h"
-#include "src/expr/evaluator.h"
 #include "src/obs/metrics.h"
 
 namespace iceberg {
@@ -311,8 +310,7 @@ void TransferGraphBuilder::SeedLocalSelections() {
     n.keep.assign(n.rows, 1);
     n.kept = n.rows;
     if (n.local.empty()) continue;
-    if (CompiledExprEnabled()) n.local_progs = CompileAll(n.local);
-    const bool compiled = n.local_progs.size() == n.local.size();
+    n.local_progs = CompileAll(n.local);
     // The conjuncts are bound to the block's flat offsets; pad a scratch
     // row up to the relation's slice (the padding is never read).
     auto filter_range = [&](size_t begin, size_t end, size_t* eliminated) {
@@ -323,19 +321,10 @@ void TransferGraphBuilder::SeedLocalSelections() {
         scratch.resize(n.begin);
         scratch.insert(scratch.end(), row.begin(), row.end());
         bool pass = true;
-        if (compiled) {
-          for (const CompiledExpr& p : n.local_progs) {
-            if (!p.RunPredicate(scratch, &eval)) {
-              pass = false;
-              break;
-            }
-          }
-        } else {
-          for (const ExprPtr& p : n.local) {
-            if (!EvaluatePredicate(*p, scratch)) {
-              pass = false;
-              break;
-            }
+        for (const CompiledExpr& p : n.local_progs) {
+          if (!p.RunPredicate(scratch, &eval)) {
+            pass = false;
+            break;
           }
         }
         if (!pass) {

@@ -15,8 +15,6 @@ namespace iceberg {
 
 namespace {
 
-std::atomic<bool> g_compiled_enabled{true};
-
 bool InitialPlanCacheEnabled() {
   const char* env = std::getenv("ICEBERG_PLAN_CACHE");
   return env == nullptr || env[0] != '0';
@@ -333,14 +331,6 @@ bool SafeToFold(const Expr& e) {
 }
 
 }  // namespace
-
-bool CompiledExprEnabled() {
-  return g_compiled_enabled.load(std::memory_order_relaxed);
-}
-
-void SetCompiledExprEnabled(bool enabled) {
-  g_compiled_enabled.store(enabled, std::memory_order_relaxed);
-}
 
 bool PlanCacheEnabled() {
   return g_plan_cache_enabled.load(std::memory_order_relaxed);
@@ -1539,7 +1529,6 @@ std::string CompiledExpr::Summary() const {
 
 std::vector<CompiledExpr> CompileAll(const std::vector<ExprPtr>& exprs) {
   std::vector<CompiledExpr> progs;
-  if (!CompiledExprEnabled()) return progs;
   progs.reserve(exprs.size());
   for (const ExprPtr& e : exprs) progs.push_back(CompiledExpr::Compile(*e));
   return progs;

@@ -14,15 +14,6 @@
 
 namespace iceberg {
 
-/// Process-wide switch for the compiled expression engine and the packed
-/// key codecs built on the same plan-time decision. Default on; the
-/// interpreter fallback (`Evaluate`) stays byte-identical and is used for
-/// A/B measurement (bench/micro_eval) and as the reference in the
-/// differential tests. Checked at plan/compile time, so flips take effect
-/// for subsequently planned queries only.
-bool CompiledExprEnabled();
-void SetCompiledExprEnabled(bool enabled);
-
 /// Process-wide switch for the shape-keyed plan & program cache (PR 7).
 /// Seeded from the ICEBERG_PLAN_CACHE environment variable ("0" disables),
 /// mirroring ICEBERG_VECTORIZE. Checked at compile/plan time: when on,
@@ -128,10 +119,12 @@ struct BatchScratch {
 /// comparisons fused into single instructions. Run() is const and
 /// thread-safe: all mutable state lives in the caller's EvalScratch.
 ///
-/// Semantics are bit-identical to the reference interpreter `Evaluate`
-/// (enforced by tests/compiled_expr_test.cc) with one carve-out: arithmetic
-/// or negation over string operands, where the interpreter throws
-/// bad_variant_access, yields NULL here. Well-typed queries never hit it.
+/// This is the only evaluator the operators use. The tree-walk interpreter
+/// `Evaluate` is the reference that tests/compiled_expr_test.cc compares it
+/// against: semantics are bit-identical with one carve-out, arithmetic or
+/// negation over string operands, where the interpreter throws
+/// bad_variant_access and a program yields NULL. Well-typed queries never
+/// hit it.
 class CompiledExpr {
  public:
   CompiledExpr() = default;  // invalid; valid() is false
@@ -246,8 +239,7 @@ class CompiledExpr {
   size_t agg_count_ = 0;
 };
 
-/// Compiles every expression of `exprs`; returns an empty vector when the
-/// compiled engine is disabled (callers then fall back to Evaluate).
+/// Compiles every expression of `exprs`, in order.
 std::vector<CompiledExpr> CompileAll(const std::vector<ExprPtr>& exprs);
 
 }  // namespace iceberg

@@ -10,7 +10,6 @@
 #include "src/exec/join_pipeline.h"
 #include "src/exec/task_pool.h"
 #include "src/expr/aggregate.h"
-#include "src/expr/evaluator.h"
 #include "src/obs/metrics.h"
 #include "src/obs/trace.h"
 
@@ -311,41 +310,40 @@ Result<std::unique_ptr<NljpOperator>> NljpOperator::Create(
   }
 
   // ---- Compiled programs + packed key codecs (per-binding hot path) ----
-  if (CompiledExprEnabled()) {
-    op->gr_progs_ = CompileAll(op->inner_gr_exprs_);
-    op->slot_arg_progs_.reserve(op->slot_args_.size());
-    for (const ExprPtr& arg : op->slot_args_) {
-      if (arg == nullptr) {
-        op->slot_arg_progs_.emplace_back();  // COUNT(*)
-      } else {
-        op->slot_arg_progs_.push_back(CompiledExpr::Compile(*arg));
-      }
+  op->gr_progs_ = CompileAll(op->inner_gr_exprs_);
+  op->slot_arg_progs_.reserve(op->slot_args_.size());
+  for (const ExprPtr& arg : op->slot_args_) {
+    if (arg == nullptr) {
+      op->slot_arg_progs_.emplace_back();  // COUNT(*)
+    } else {
+      op->slot_arg_progs_.push_back(CompiledExpr::Compile(*arg));
     }
-    op->phi_prog_ = CompiledExpr::Compile(*op->inner_phi_);
-    op->group_progs_ = CompileAll(block.group_by);
-
-    std::vector<DataType> binding_types;
-    binding_types.reserve(op->view_.jl_offsets.size());
-    for (size_t off : op->view_.jl_offsets) {
-      binding_types.push_back(types_by_offset[off]);
-    }
-    op->binding_codec_ = KeyCodec::ForTypes(binding_types);
-    if (op->prune_enabled_) {
-      std::vector<DataType> eq_types;
-      eq_types.reserve(op->prune_eq_positions_.size());
-      for (size_t pos : op->prune_eq_positions_) {
-        eq_types.push_back(binding_types[pos]);
-      }
-      op->eq_codec_ = KeyCodec::ForTypes(std::move(eq_types));
-    }
-    std::vector<DataType> inner_types;
-    for (const BoundTableRef& t : op->inner_block_.tables) {
-      for (const Column& c : t.table->schema().columns()) {
-        inner_types.push_back(c.type);
-      }
-    }
-    op->gr_codec_ = CodecForExprs(op->inner_gr_exprs_, inner_types);
   }
+  op->phi_prog_ = CompiledExpr::Compile(*op->inner_phi_);
+  op->group_progs_ = CompileAll(block.group_by);
+  op->projection_ = CompiledProjection(block);
+
+  std::vector<DataType> binding_types;
+  binding_types.reserve(op->view_.jl_offsets.size());
+  for (size_t off : op->view_.jl_offsets) {
+    binding_types.push_back(types_by_offset[off]);
+  }
+  op->binding_codec_ = KeyCodec::ForTypes(binding_types);
+  if (op->prune_enabled_) {
+    std::vector<DataType> eq_types;
+    eq_types.reserve(op->prune_eq_positions_.size());
+    for (size_t pos : op->prune_eq_positions_) {
+      eq_types.push_back(binding_types[pos]);
+    }
+    op->eq_codec_ = KeyCodec::ForTypes(std::move(eq_types));
+  }
+  std::vector<DataType> inner_types;
+  for (const BoundTableRef& t : op->inner_block_.tables) {
+    for (const Column& c : t.table->schema().columns()) {
+      inner_types.push_back(c.type);
+    }
+  }
+  op->gr_codec_ = CodecForExprs(op->inner_gr_exprs_, inner_types);
   return op;
 }
 
@@ -408,12 +406,8 @@ Result<NljpOperator::CacheEntry> NljpOperator::EvaluateInnerWith(
       0, 1,
       [&](const Row& joined) {
         key_scratch.clear();
-        for (size_t i = 0; i < inner_gr_exprs_.size(); ++i) {
-          if (i < gr_progs_.size() && gr_progs_[i].valid()) {
-            key_scratch.push_back(gr_progs_[i].Run(joined, &eval));
-          } else {
-            key_scratch.push_back(Evaluate(*inner_gr_exprs_[i], joined));
-          }
+        for (const CompiledExpr& p : gr_progs_) {
+          key_scratch.push_back(p.Run(joined, &eval));
         }
         PartitionState* state;
         if (packed) {
@@ -435,12 +429,9 @@ Result<NljpOperator::CacheEntry> NljpOperator::EvaluateInnerWith(
         for (size_t i = 0; i < slot_funcs_.size(); ++i) {
           if (slot_args_[i] == nullptr) {
             state->accumulators[i].Add(Value::Null());  // COUNT(*)
-          } else if (i < slot_arg_progs_.size() &&
-                     slot_arg_progs_[i].valid()) {
+          } else {
             state->accumulators[i].Add(
                 slot_arg_progs_[i].Run(joined, &eval));
-          } else {
-            state->accumulators[i].Add(Evaluate(*slot_args_[i], joined));
           }
         }
       },
@@ -478,10 +469,7 @@ Result<NljpOperator::CacheEntry> NljpOperator::EvaluateInnerWith(
           state.accumulators[agg_slot_[i]].Final();
     }
     payload.phi_pass =
-        phi_prog_.valid()
-            ? phi_prog_.RunPredicate(state.representative, &eval, &phi_values)
-            : EvaluatePredicate(*inner_phi_, state.representative,
-                                &phi_values);
+        phi_prog_.RunPredicate(state.representative, &eval, &phi_values);
     if (payload.phi_pass) entry.unpromising = false;
     if (algebraic_mode_) {
       for (const Accumulator& acc : state.accumulators) {
@@ -523,13 +511,9 @@ void NljpOperator::ContributeTo(GroupMap* groups, const Row& l_row,
       synthetic[view_.gr_offsets[i]] = payload.gr_key[i];
     }
     Row group_key;
-    group_key.reserve(block.group_by.size());
-    for (size_t i = 0; i < block.group_by.size(); ++i) {
-      if (i < group_progs_.size() && group_progs_[i].valid()) {
-        group_key.push_back(group_progs_[i].Run(synthetic, scratch));
-      } else {
-        group_key.push_back(Evaluate(*block.group_by[i], synthetic));
-      }
+    group_key.reserve(group_progs_.size());
+    for (const CompiledExpr& p : group_progs_) {
+      group_key.push_back(p.Run(synthetic, scratch));
     }
     auto it = groups->find(group_key);
     if (it == groups->end()) {
@@ -572,25 +556,22 @@ Result<TablePtr> NljpOperator::FinalizeGroups(const GroupMap& groups,
   const QueryBlock& block = *block_;
   if (governor != nullptr) ICEBERG_RETURN_NOT_OK(governor->Check());
   auto result = std::make_shared<Table>(block.output_schema);
+  EvalScratch scratch;
+  AggValueMap agg_values;
   size_t qp_processed = 0;
   for (const auto& [key, state] : groups) {
     if (governor != nullptr && (qp_processed++ & 255) == 0) {
       ICEBERG_RETURN_NOT_OK(governor->Check());
     }
-    AggValueMap agg_values;
     for (size_t i = 0; i < agg_nodes_.size(); ++i) {
       size_t slot = agg_slot_[i];
       agg_values[agg_nodes_[i].get()] = algebraic_mode_
                                             ? state.accumulators[slot].Final()
                                             : state.finals[slot];
     }
-    if (!EvaluatePredicate(*block.having, state.synthetic, &agg_values)) {
-      continue;
-    }
     Row out;
-    out.reserve(block.select.size());
-    for (const BoundSelectItem& item : block.select) {
-      out.push_back(Evaluate(*item.expr, state.synthetic, &agg_values));
+    if (!projection_.Project(state.synthetic, &agg_values, &scratch, &out)) {
+      continue;
     }
     result->AppendUnchecked(std::move(out));
   }
@@ -1221,10 +1202,7 @@ std::string NljpOperator::Explain() const {
          block_->having->ToString() + "\n";
   out += "  keys: binding=" + binding_codec_.Summary() +
          " gr=" + gr_codec_.Summary();
-  if (phi_prog_.valid()) {
-    out += "; phi compiled (" + phi_prog_.Summary() + ")";
-  }
-  out += "\n";
+  out += "; phi compiled (" + phi_prog_.Summary() + ")\n";
   return out;
 }
 

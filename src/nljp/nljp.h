@@ -9,6 +9,7 @@
 #include <vector>
 
 #include "src/common/status.h"
+#include "src/exec/aggregator.h"
 #include "src/exec/exec_options.h"
 #include "src/exec/join_pipeline.h"
 #include "src/exec/key_codec.h"
@@ -281,12 +282,12 @@ class NljpOperator {
   // equality; unpromising entries are bucketed by these values.
   std::vector<size_t> prune_eq_positions_;
 
-  // Compiled programs for the per-binding hot path (invalid / empty when
-  // the compiled engine is disabled; call sites fall back to Evaluate).
+  // Compiled programs for the per-binding hot path and Q_P.
   std::vector<CompiledExpr> gr_progs_;        // inner_gr_exprs_
   std::vector<CompiledExpr> slot_arg_progs_;  // slot_args_ (invalid = COUNT(*))
   CompiledExpr phi_prog_;                     // inner_phi_
   std::vector<CompiledExpr> group_progs_;     // block.group_by over synthetic
+  CompiledProjection projection_;             // HAVING + select over synthetic
 
   // Packed-key codecs for the memo / prune / partition hash tables; each
   // falls back to Row keys independently when a key column is a string.

@@ -1,10 +1,10 @@
 // Differential tests for the compiled expression engine and the packed key
 // codecs: every compiled program must agree with the reference interpreter
 // `Evaluate` on every row — including NULL three-valued logic, int<->double
-// coercion, and short-circuit AND/OR — and PackedKey equality/hashing must
-// coincide exactly with RowEq/Value::Hash on numeric keys. A final suite
-// replays the full workload with the engine flipped on and off and demands
-// identical result sets from both executors.
+// coercion, short-circuit AND/OR and aggregate references resolved through
+// an AggValueMap — and PackedKey equality/hashing must coincide exactly with
+// RowEq/Value::Hash on numeric keys. A final suite replays the full workload
+// on both executors and demands identical result sets.
 
 #include <gtest/gtest.h>
 
@@ -17,18 +17,14 @@
 #include "bench/workload_queries.h"
 #include "src/engine/database.h"
 #include "src/exec/key_codec.h"
+#include "src/expr/aggregate.h"
 #include "src/expr/compiled.h"
 #include "src/expr/evaluator.h"
 #include "src/expr/expr.h"
+#include "src/obs/metrics.h"
 
 namespace iceberg {
 namespace {
-
-// Restores the process-wide compiled-engine flag (default: on) when a test
-// that flips it exits, including via an assertion failure.
-struct CompiledFlagGuard {
-  ~CompiledFlagGuard() { SetCompiledExprEnabled(true); }
-};
 
 // Strict identity: same type alternative, same payload. (Value::operator==
 // coerces 1 == 1.0; the compiled engine must preserve the exact alternative
@@ -291,6 +287,147 @@ TEST(CompiledDifferentialTest, ConstantFolding) {
 }
 
 // ---------------------------------------------------------------------------
+// Aggregate references (kPushAgg): HAVING and select-list shapes evaluated
+// against a group's final aggregate values, as Aggregator and NLJP's Q_P
+// finalize them
+// ---------------------------------------------------------------------------
+
+/// Forces the plan cache (and with it the program-template path of
+/// CompiledExpr::Compile) on or off, restoring the previous state and cold
+/// templates on exit.
+struct ScopedPlanCache {
+  explicit ScopedPlanCache(bool enabled) : prev(PlanCacheEnabled()) {
+    SetPlanCacheEnabled(enabled);
+    ClearProgramTemplateCache();
+  }
+  ~ScopedPlanCache() {
+    SetPlanCacheEnabled(prev);
+    ClearProgramTemplateCache();
+  }
+  bool prev;
+};
+
+/// The group's final aggregate values for every aggregate node of `e`,
+/// accumulated over `group` the way the aggregation operators do.
+AggValueMap FinalsOver(const ExprPtr& e, const std::vector<Row>& group) {
+  std::vector<ExprPtr> aggs;
+  CollectAggregates(e, &aggs);
+  AggValueMap finals;
+  for (const ExprPtr& agg : aggs) {
+    Accumulator acc(agg->agg);
+    for (const Row& row : group) {
+      acc.Add(agg->agg == AggFunc::kCountStar
+                  ? Value::Null()
+                  : Evaluate(*agg->children[0], row));
+    }
+    finals[agg.get()] = acc.Final();
+  }
+  return finals;
+}
+
+/// HAVING / select-list shapes over c0 (int) and c1 (double); `k` and `x`
+/// are the literals the template cache re-binds.
+std::vector<ExprPtr> AggShapes(int64_t k, double x) {
+  auto count_star = [] { return Agg(AggFunc::kCountStar, nullptr); };
+  auto avg_c0 = [] {
+    return Bin(BinaryOp::kDiv, Agg(AggFunc::kSum, ColAt(0)),
+               Agg(AggFunc::kCount, ColAt(0)));
+  };
+  std::vector<ExprPtr> shapes;
+  // COUNT(*) >= k AND SUM(c0) / COUNT(c0) > x
+  shapes.push_back(Bin(BinaryOp::kAnd,
+                       Bin(BinaryOp::kGe, count_star(), LitInt(k)),
+                       Bin(BinaryOp::kGt, avg_c0(), LitDouble(x))));
+  // COUNT(*) <= k OR MAX(c1) < x
+  shapes.push_back(Bin(BinaryOp::kOr,
+                       Bin(BinaryOp::kLe, count_star(), LitInt(k)),
+                       Bin(BinaryOp::kLt, Agg(AggFunc::kMax, ColAt(1)),
+                           LitDouble(x))));
+  // NOT (MIN(c0) = k) AND AVG(c1) >= x
+  shapes.push_back(Bin(BinaryOp::kAnd,
+                       Not(Bin(BinaryOp::kEq, Agg(AggFunc::kMin, ColAt(0)),
+                               LitInt(k))),
+                       Bin(BinaryOp::kGe, Agg(AggFunc::kAvg, ColAt(1)),
+                           LitDouble(x))));
+  // Select items: arithmetic over aggregates, a group column mixed with
+  // an aggregate, and a negated aggregate.
+  shapes.push_back(Bin(BinaryOp::kAdd, avg_c0(), LitInt(k)));
+  shapes.push_back(Bin(BinaryOp::kMul, Agg(AggFunc::kSum, ColAt(1)),
+                       LitDouble(x)));
+  shapes.push_back(Bin(BinaryOp::kAdd, ColAt(0), count_star()));
+  shapes.push_back(Neg(Agg(AggFunc::kCountDistinct, ColAt(0))));
+  return shapes;
+}
+
+/// Groups over (c0 int, c1 double): mixed values, NULL-only inputs, a
+/// single row, and the empty group of a scalar aggregate over no rows.
+std::vector<std::vector<Row>> AggGroups() {
+  std::vector<std::vector<Row>> groups;
+  groups.push_back({{Value::Int(3), Value::Double(1.5)},
+                    {Value::Int(5), Value::Double(-2.0)},
+                    {Value::Int(3), Value::Null()},
+                    {Value::Null(), Value::Double(4.0)}});
+  groups.push_back({{Value::Null(), Value::Null()},
+                    {Value::Null(), Value::Null()}});
+  groups.push_back({{Value::Int(-4), Value::Double(0.5)}});
+  std::vector<Row> many;
+  for (int i = 0; i < 25; ++i) {
+    many.push_back({Value::Int(i % 7), Value::Double(i * 0.25)});
+  }
+  groups.push_back(std::move(many));
+  groups.push_back({});
+  return groups;
+}
+
+/// Runs `prog` against every group's finals for `e` and compares it with
+/// the interpreter; the representative row is the group's first row, or
+/// all-NULL for the empty group.
+void ExpectSameOnGroups(const ExprPtr& e, const CompiledExpr& prog,
+                        const std::string& path) {
+  ASSERT_TRUE(prog.valid()) << e->ToString();
+  EXPECT_FALSE(prog.batchable()) << e->ToString();
+  EvalScratch scratch;
+  for (const std::vector<Row>& group : AggGroups()) {
+    const AggValueMap finals = FinalsOver(e, group);
+    const Row rep = group.empty() ? Row(2, Value::Null()) : group.front();
+    const std::string ctx = path + " " + e->ToString() + " over " +
+                            std::to_string(group.size()) + " rows";
+    Value interpreted = Evaluate(*e, rep, &finals);
+    ExpectIdentical(prog.Run(rep, &scratch, &finals), interpreted, ctx);
+    EXPECT_EQ(prog.RunPredicate(rep, &scratch, &finals), interpreted.AsBool())
+        << ctx;
+  }
+}
+
+TEST(CompiledDifferentialTest, AggregateReferencesMatchInterpreter) {
+  {
+    ScopedPlanCache plain(false);
+    for (const ExprPtr& e : AggShapes(2, 1.0)) {
+      ExpectSameOnGroups(e, CompiledExpr::Compile(*e), "plain");
+      if (::testing::Test::HasFatalFailure()) return;
+    }
+  }
+  // With the plan cache on, the first compile of each shape builds a
+  // template and re-binds it; the same shapes with other literals then hit
+  // the cached template, whose aggregate references must re-point at the
+  // new tree's nodes.
+  ScopedPlanCache cached(true);
+  for (const ExprPtr& e : AggShapes(2, 1.0)) {
+    ExpectSameOnGroups(e, CompiledExpr::Compile(*e), "template");
+    if (::testing::Test::HasFatalFailure()) return;
+  }
+  Counter* hits = ICEBERG_COUNTER("plan_cache.program_hits");
+  const uint64_t hits_before = hits->value();
+  const std::vector<ExprPtr> rebound = AggShapes(4, 2.5);
+  for (const ExprPtr& e : rebound) {
+    ExpectSameOnGroups(e, CompiledExpr::Compile(*e), "rebind");
+    if (::testing::Test::HasFatalFailure()) return;
+  }
+  // The last two shapes carry no literal and always compile plainly.
+  EXPECT_EQ(hits->value() - hits_before, rebound.size() - 2);
+}
+
+// ---------------------------------------------------------------------------
 // PackedKey / KeyCodec
 // ---------------------------------------------------------------------------
 
@@ -380,9 +517,9 @@ TEST(KeyCodecTest, RandomRowsAgreeWithRowSemantics) {
 }
 
 // ---------------------------------------------------------------------------
-// Whole-workload on/off differential: flipping the compiled engine (and with
-// it the packed key codecs) must not change any query result, on either
-// engine, at any thread count.
+// Whole-workload differential: the baseline executor and Smart-Iceberg run
+// the same compiled programs and packed key codecs through different plans,
+// and must return the same rows at any thread count.
 // ---------------------------------------------------------------------------
 
 void ExpectSameRows(const TablePtr& a, const TablePtr& b,
@@ -396,36 +533,20 @@ void ExpectSameRows(const TablePtr& a, const TablePtr& b,
   }
 }
 
-TEST(CompiledWorkloadTest, EngineOnOffIdenticalResults) {
-  CompiledFlagGuard guard;
+TEST(CompiledWorkloadTest, BaselineAndIcebergIdenticalResults) {
   std::unique_ptr<Database> db = bench::MakeScoreDb(480);
   for (const bench::NamedQuery& q : bench::Figure1Queries()) {
     for (int threads : {1, 4}) {
       ExecOptions exec;
       exec.num_threads = threads;
-      SetCompiledExprEnabled(true);
-      Result<TablePtr> on = db->Query(q.sql, exec);
-      SetCompiledExprEnabled(false);
-      Result<TablePtr> off = db->Query(q.sql, exec);
-      SetCompiledExprEnabled(true);
-      ASSERT_TRUE(on.ok()) << q.name << ": " << on.status().ToString();
-      ASSERT_TRUE(off.ok()) << q.name << ": " << off.status().ToString();
-      ExpectSameRows(*on, *off,
-                     q.name + " baseline t=" + std::to_string(threads));
-      if (::testing::Test::HasFatalFailure()) return;
-
+      Result<TablePtr> base = db->Query(q.sql, exec);
       IcebergOptions iceberg;
       iceberg.base_exec.num_threads = threads;
-      SetCompiledExprEnabled(true);
-      Result<TablePtr> ion = db->QueryIceberg(q.sql, iceberg);
-      SetCompiledExprEnabled(false);
-      Result<TablePtr> ioff = db->QueryIceberg(q.sql, iceberg);
-      SetCompiledExprEnabled(true);
-      ASSERT_TRUE(ion.ok()) << q.name << ": " << ion.status().ToString();
-      ASSERT_TRUE(ioff.ok()) << q.name << ": " << ioff.status().ToString();
-      ExpectSameRows(*ion, *ioff,
-                     q.name + " nljp t=" + std::to_string(threads));
-      ExpectSameRows(*on, *ion, q.name + " engines");
+      Result<TablePtr> smart = db->QueryIceberg(q.sql, iceberg);
+      ASSERT_TRUE(base.ok()) << q.name << ": " << base.status().ToString();
+      ASSERT_TRUE(smart.ok()) << q.name << ": " << smart.status().ToString();
+      ExpectSameRows(*base, *smart,
+                     q.name + " engines t=" + std::to_string(threads));
       if (::testing::Test::HasFatalFailure()) return;
     }
   }
@@ -433,7 +554,6 @@ TEST(CompiledWorkloadTest, EngineOnOffIdenticalResults) {
 
 TEST(CompiledWorkloadTest, ExplainShowsCompiledPrograms) {
   std::unique_ptr<Database> db = bench::MakeScoreDb(120);
-  SetCompiledExprEnabled(true);
   Result<std::string> plan =
       db->ExplainBaseline(bench::SkybandSql("hits", "hruns", 10));
   ASSERT_TRUE(plan.ok()) << plan.status().ToString();

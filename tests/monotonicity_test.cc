@@ -4,6 +4,12 @@
 
 #include <gtest/gtest.h>
 
+#include <cctype>
+#include <cstring>
+#include <ostream>
+#include <string>
+#include <utility>
+
 #include "src/parser/parser.h"
 #include "src/rewrite/monotonicity.h"
 
@@ -23,6 +29,44 @@ struct Table2Case {
 };
 
 class Table2Test : public ::testing::TestWithParam<Table2Case> {};
+
+/// Prints a case by its content: comparison operators become words and
+/// other punctuation an underscore, e.g. "COUNT(*) >= 20" -> "COUNT_ge_20";
+/// "_nonneg" marks the non-negative domain hint. The test discovery names
+/// each ctest case after this value, so it must not depend on the build
+/// (gtest's default byte dump includes the condition's address).
+void PrintTo(const Table2Case& c, std::ostream* os) {
+  static const std::pair<const char*, const char*> kOps[] = {
+      {"<>", "ne"}, {">=", "ge"}, {"<=", "le"},
+      {">", "gt"},  {"<", "lt"},  {"=", "eq"}};
+  std::string name;
+  auto separate = [&name] {
+    if (!name.empty() && name.back() != '_') name += '_';
+  };
+  const std::string cond = c.condition;
+  for (size_t i = 0; i < cond.size();) {
+    if (std::isalnum(static_cast<unsigned char>(cond[i]))) {
+      name += cond[i++];
+      continue;
+    }
+    bool matched = false;
+    for (const auto& [op, word] : kOps) {
+      if (cond.compare(i, std::strlen(op), op) == 0) {
+        separate();
+        name += std::string(word) + "_";
+        i += std::strlen(op);
+        matched = true;
+        break;
+      }
+    }
+    if (!matched) {
+      separate();
+      ++i;
+    }
+  }
+  if (!name.empty() && name.back() == '_') name.pop_back();
+  *os << name << (c.nonneg ? "_nonneg" : "");
+}
 
 TEST_P(Table2Test, Classification) {
   const Table2Case& c = GetParam();

@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <ostream>
 
 #include "src/engine/database.h"
 #include "src/nljp/nljp.h"
@@ -377,6 +378,17 @@ struct SweepCase {
 };
 
 class NljpSweep : public ::testing::TestWithParam<SweepCase> {};
+
+/// Prints a case by its content, e.g. "Independent_d40_le5". The test
+/// discovery names each ctest case after this value, so it must not
+/// depend on the build (gtest's default byte dump includes padding).
+void PrintTo(const SweepCase& c, std::ostream* os) {
+  const char* dist = "Independent";
+  if (c.dist == PointDistribution::kCorrelated) dist = "Correlated";
+  if (c.dist == PointDistribution::kAnticorrelated) dist = "Anticorrelated";
+  *os << dist << "_d" << c.domain << (c.monotone ? "_ge" : "_le")
+      << c.threshold;
+}
 
 TEST_P(NljpSweep, EquivalentToBaseline) {
   const SweepCase& c = GetParam();
