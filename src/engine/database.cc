@@ -232,11 +232,9 @@ TablePtr Database::ApplyOrderAndLimit(const QueryBlock& block,
        block.limit >= static_cast<int64_t>(result->num_rows()))) {
     return result;
   }
+  // Grouped output arrives in canonical order from both engines, so ORDER
+  // BY ties and LIMIT cuts resolve the same way at every thread count.
   std::vector<Row> rows = result->rows();
-  // Grouped output arrives in an engine- and schedule-dependent order.
-  // Putting it in canonical order first makes ORDER BY ties and LIMIT cuts
-  // resolve the same way on both engines and at every thread count.
-  if (!block.group_by.empty()) std::sort(rows.begin(), rows.end(), RowLess());
   if (!block.order_by.empty()) {
     std::stable_sort(rows.begin(), rows.end(),
                      [&](const Row& a, const Row& b) {

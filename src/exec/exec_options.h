@@ -42,12 +42,11 @@ struct ExecOptions {
   bool use_indexes = true;
 
   /// Worker threads for the join + partial-aggregation pipeline, morsel-
-  /// driven (src/exec/task_pool.h). 0 = auto (hardware_concurrency());
-  /// 1 = exactly the serial paths (no pool, no canonical reordering).
+  /// driven (src/exec/task_pool.h). 0 = auto (the CPUs in the thread's
+  /// affinity mask); 1 = the serial join loop (no worker thread).
   /// VendorA() pins 4, matching the paper's setup ("Vendor A using all 4
-  /// cores"). When the resolved count exceeds 1, output rows are
-  /// canonically sorted so results are byte-identical across thread
-  /// counts.
+  /// cores"). Grouped output is canonically sorted at every thread count,
+  /// so results are byte-identical across thread counts.
   int num_threads = 0;
 
   /// Optional per-query resource governor (deadline, cancellation, memory

@@ -286,54 +286,44 @@ Result<TablePtr> Executor::ExecuteInternal(const QueryBlock& original,
     stats->transfer_filter_bytes += ts.filter_bytes;
     stats->transfer_build_ns += ts.build_ns;
   }
-  Aggregator proto(block);
   const size_t outer_size = pipeline.OuterSize();
   const size_t morsel = MorselFor(outer_size, threads);
   const bool parallel = threads > 1 && outer_size > morsel;
 
-  if (proto.IsAggregated()) {
-    if (!parallel) {
-      Aggregator agg(block);
-      agg.SetGovernor(governor);
-      ICEBERG_RETURN_NOT_OK(pipeline.Run(
-          0, outer_size, [&](const Row& row) { agg.AddRow(row); }, stats,
-          governor));
-      if (governor != nullptr) ICEBERG_RETURN_NOT_OK(governor->Check());
-      FillGovernorStats(governor, stats);
-      return agg.Finalize(stats);
-    }
+  if (Aggregator::IsAggregated(block)) {
     // Morsel-driven parallel aggregation: each worker streams joined rows
-    // into a thread-local hash-aggregation state; the algebraic partials
-    // are merged before HAVING/projection (Vendor A's Gather/Repartition
-    // plan shape). JoinPipeline::Run is thread-safe after Plan — all
-    // mutable state lives in the per-call stack.
+    // into a thread-local hash-aggregation state; Finalize merges them one
+    // radix partition per task before HAVING/projection (Vendor A's
+    // Gather/Repartition plan shape). JoinPipeline::Run is thread-safe
+    // after Plan — all mutable state lives in the per-call stack.
+    const int workers = parallel ? threads : 1;
     std::vector<std::unique_ptr<Aggregator>> partials;
-    std::vector<ExecStats> partial_stats(static_cast<size_t>(threads));
-    partials.reserve(static_cast<size_t>(threads));
-    for (int t = 0; t < threads; ++t) {
+    partials.reserve(static_cast<size_t>(workers));
+    for (int t = 0; t < workers; ++t) {
       partials.push_back(std::make_unique<Aggregator>(block));
       partials.back()->SetGovernor(governor);
     }
-    TaskPool pool(threads);
-    Status status = pool.RunMorsels(
-        outer_size, morsel, [&](int worker, size_t begin, size_t end) {
-          Aggregator* agg = partials[static_cast<size_t>(worker)].get();
-          return pipeline.Run(
-              begin, end, [agg](const Row& row) { agg->AddRow(row); },
-              &partial_stats[static_cast<size_t>(worker)], governor);
-        });
-    ICEBERG_RETURN_NOT_OK(status);
-    Aggregator merged(block);
-    merged.SetGovernor(governor);
-    for (auto& p : partials) merged.MergeFrom(std::move(*p));
-    MergeWorkerStats(partial_stats, pool, stats);
+    TaskPool pool(workers);
+    if (!parallel) {
+      Aggregator* agg = partials[0].get();
+      ICEBERG_RETURN_NOT_OK(pipeline.Run(
+          0, outer_size, [agg](const Row& row) { agg->AddRow(row); }, stats,
+          governor));
+    } else {
+      std::vector<ExecStats> partial_stats(static_cast<size_t>(threads));
+      Status status = pool.RunMorsels(
+          outer_size, morsel, [&](int worker, size_t begin, size_t end) {
+            Aggregator* agg = partials[static_cast<size_t>(worker)].get();
+            return pipeline.Run(
+                begin, end, [agg](const Row& row) { agg->AddRow(row); },
+                &partial_stats[static_cast<size_t>(worker)], governor);
+          });
+      ICEBERG_RETURN_NOT_OK(status);
+      MergeWorkerStats(partial_stats, pool, stats);
+    }
     if (governor != nullptr) ICEBERG_RETURN_NOT_OK(governor->Check());
     FillGovernorStats(governor, stats);
-    ICEBERG_ASSIGN_OR_RETURN(TablePtr result, merged.Finalize(stats));
-    // Canonical ordering: group output order would otherwise depend on
-    // which worker saw each group first.
-    result->SortRowsCanonical();
-    return result;
+    return Aggregator::Finalize(partials, &pool, stats);
   }
 
   // Non-aggregated: project each joined row directly.
@@ -411,7 +401,6 @@ std::string Executor::Explain(const QueryBlock& original) const {
   if (!pipeline.ok()) return "<plan error: " + pipeline.status().ToString() + ">";
   if (!cbo.est_rows.empty()) pipeline->AnnotateEstimates(cbo.est_rows);
 
-  Aggregator agg(block);
   std::string out;
   std::string indent;
   if (threads > 1) {
@@ -426,7 +415,7 @@ std::string Executor::Explain(const QueryBlock& original) const {
     }
     out += ")\n";
   }
-  if (agg.IsAggregated()) {
+  if (Aggregator::IsAggregated(block)) {
     out += indent + "HashAggregate group_by=(";
     for (size_t i = 0; i < block.group_by.size(); ++i) {
       if (i > 0) out += ", ";
@@ -436,7 +425,8 @@ std::string Executor::Explain(const QueryBlock& original) const {
     if (block.having != nullptr) {
       out += " having=(" + block.having->ToString() + ")";
     }
-    out += " key=" + agg.KeySummary();
+    out += " key=" +
+           CodecForExprs(block.group_by, BlockColumnTypes(block)).Summary();
     out += "\n";
     indent += "  ";
   }
@@ -450,71 +440,6 @@ std::string Executor::Explain(const QueryBlock& original) const {
     pos = nl + 1;
   }
   return out;
-}
-
-Result<TablePtr> GroupAndProject(const QueryBlock& block,
-                                 const std::vector<Row>& joined_rows,
-                                 ExecStats* stats, QueryGovernor* governor,
-                                 int num_threads) {
-  TraceSpan span("exec.group_and_project");
-  Aggregator agg(block);
-  agg.SetGovernor(governor);
-  if (!agg.IsAggregated()) {
-    auto result = std::make_shared<Table>(block.output_schema);
-    std::set<Row, RowLess> distinct_rows;
-    const CompiledProjection projection(block);
-    EvalScratch scratch;
-    size_t processed = 0;
-    for (const Row& joined : joined_rows) {
-      if (governor != nullptr && (processed++ & 255) == 0) {
-        ICEBERG_RETURN_NOT_OK(governor->Check());
-      }
-      Row out;
-      projection.Project(joined, nullptr, &scratch, &out);
-      if (block.distinct && !distinct_rows.insert(out).second) continue;
-      result->AppendUnchecked(std::move(out));
-    }
-    return result;
-  }
-  const int threads = ResolveThreads(num_threads);
-  const size_t morsel = MorselFor(joined_rows.size(), threads);
-  if (threads > 1 && joined_rows.size() > morsel) {
-    // Partial-merge path: thread-local aggregation states over row
-    // morsels, merged before HAVING/projection.
-    std::vector<std::unique_ptr<Aggregator>> partials;
-    partials.reserve(static_cast<size_t>(threads));
-    for (int t = 0; t < threads; ++t) {
-      partials.push_back(std::make_unique<Aggregator>(block));
-      partials.back()->SetGovernor(governor);
-    }
-    TaskPool pool(threads);
-    Status status = pool.RunMorsels(
-        joined_rows.size(), morsel, [&](int worker, size_t begin, size_t end) {
-          Aggregator* local = partials[static_cast<size_t>(worker)].get();
-          if (governor != nullptr) ICEBERG_RETURN_NOT_OK(governor->Check());
-          for (size_t i = begin; i < end; ++i) local->AddRow(joined_rows[i]);
-          return Status::OK();
-        });
-    ICEBERG_RETURN_NOT_OK(status);
-    for (auto& p : partials) agg.MergeFrom(std::move(*p));
-    if (governor != nullptr) ICEBERG_RETURN_NOT_OK(governor->Check());
-    if (stats != nullptr) {
-      stats->workers = static_cast<size_t>(threads);
-      stats->busy_us_per_worker = pool.last_busy_micros();
-    }
-    ICEBERG_ASSIGN_OR_RETURN(TablePtr result, agg.Finalize(stats));
-    result->SortRowsCanonical();
-    return result;
-  }
-  size_t processed = 0;
-  for (const Row& joined : joined_rows) {
-    if (governor != nullptr && (processed++ & 255) == 0) {
-      ICEBERG_RETURN_NOT_OK(governor->Check());
-    }
-    agg.AddRow(joined);
-  }
-  if (governor != nullptr) ICEBERG_RETURN_NOT_OK(governor->Check());
-  return agg.Finalize(stats);
 }
 
 }  // namespace iceberg

@@ -42,20 +42,6 @@ class Executor {
   ExecOptions options_;
 };
 
-/// Evaluates all aggregates over a set of joined rows grouped by the given
-/// key expressions, applies `having`, and projects `select`. Exposed for
-/// reuse by the NLJP operator's post-processing stage. When `governor` is
-/// set, the loop is checked at stride granularity and aggregation state is
-/// charged against the memory budget. With a resolved `num_threads` > 1
-/// (0 = auto) the aggregated path folds rows into thread-local partial
-/// states merged before HAVING/projection, and the output is canonically
-/// sorted.
-Result<TablePtr> GroupAndProject(const QueryBlock& block,
-                                 const std::vector<Row>& joined_rows,
-                                 ExecStats* stats,
-                                 QueryGovernor* governor = nullptr,
-                                 int num_threads = 1);
-
 }  // namespace iceberg
 
 #endif  // SMARTICEBERG_EXEC_EXECUTOR_H_

@@ -1,5 +1,7 @@
 #include "src/exec/task_pool.h"
 
+#include <sched.h>
+
 #include <chrono>
 
 #include "src/obs/metrics.h"
@@ -8,6 +10,14 @@ namespace iceberg {
 
 int ResolveThreads(int requested) {
   if (requested > 0) return requested;
+  // The CPUs this thread may run on: a container or taskset limit shows
+  // here, while hardware_concurrency() reports every CPU of the host.
+  cpu_set_t mask;
+  CPU_ZERO(&mask);
+  if (sched_getaffinity(0, sizeof(mask), &mask) == 0) {
+    const int allowed = CPU_COUNT(&mask);
+    if (allowed > 0) return allowed;
+  }
   unsigned hw = std::thread::hardware_concurrency();
   return hw == 0 ? 1 : static_cast<int>(hw);
 }

@@ -16,8 +16,9 @@
 namespace iceberg {
 
 /// Resolves a requested worker count: positive values are taken as-is,
-/// 0 (the ExecOptions default) means "auto" = hardware_concurrency(),
-/// clamped to at least 1 (hardware_concurrency may report 0).
+/// 0 (the ExecOptions default) means "auto" = the CPUs in the calling
+/// thread's affinity mask (sched_getaffinity), falling back to
+/// hardware_concurrency() and clamped to at least 1.
 int ResolveThreads(int requested);
 
 /// Picks a morsel size for splitting `total` work items across `threads`

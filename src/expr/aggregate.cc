@@ -137,20 +137,15 @@ Accumulator Accumulator::FromPartial(AggFunc func, const Row& state) {
 
 void Accumulator::MergeFrom(const Accumulator& other) {
   ICEBERG_CHECK(func_ == other.func_);
-  if (func_ == AggFunc::kCountDistinct) {
-    distinct_.insert(other.distinct_.begin(), other.distinct_.end());
-    return;
+  distinct_.insert(other.distinct_.begin(), other.distinct_.end());
+  count_ += other.count_;
+  sum_ += other.sum_;
+  sum_is_int_ = sum_is_int_ && other.sum_is_int_;
+  if (!other.min_.is_null() && (min_.is_null() || other.min_ < min_)) {
+    min_ = other.min_;
   }
-  if (func_ == AggFunc::kSum) {
-    count_ += other.count_;
-    sum_ += other.sum_;
-    sum_is_int_ = sum_is_int_ && other.sum_is_int_;
-    return;
-  }
-  if (other.count_ != 0 || func_ == AggFunc::kMin || func_ == AggFunc::kMax ||
-      func_ == AggFunc::kAvg || func_ == AggFunc::kCount ||
-      func_ == AggFunc::kCountStar) {
-    MergePartial(other.PartialState());
+  if (!other.max_.is_null() && (max_.is_null() || other.max_ > max_)) {
+    max_ = other.max_;
   }
 }
 

@@ -51,8 +51,9 @@ class Accumulator {
   /// Restores an accumulator from a partial state.
   static Accumulator FromPartial(AggFunc func, const Row& state);
 
-  /// Merges a full accumulator (including holistic COUNT DISTINCT state).
-  /// Used by the parallel executor when combining per-worker group states.
+  /// Merges a full accumulator (including holistic COUNT DISTINCT state)
+  /// field by field, allocating nothing for algebraic aggregates. Used by
+  /// parallel NLJP when combining per-worker LR-group states.
   void MergeFrom(const Accumulator& other);
 
  private:

@@ -555,7 +555,7 @@ Result<TablePtr> NljpOperator::FinalizeGroups(const GroupMap& groups,
   TraceSpan span("nljp.q_p", "nljp");
   const QueryBlock& block = *block_;
   if (governor != nullptr) ICEBERG_RETURN_NOT_OK(governor->Check());
-  auto result = std::make_shared<Table>(block.output_schema);
+  std::vector<Row> rows;
   EvalScratch scratch;
   AggValueMap agg_values;
   size_t qp_processed = 0;
@@ -573,8 +573,16 @@ Result<TablePtr> NljpOperator::FinalizeGroups(const GroupMap& groups,
     if (!projection_.Project(state.synthetic, &agg_values, &scratch, &out)) {
       continue;
     }
-    result->AppendUnchecked(std::move(out));
+    rows.push_back(std::move(out));
   }
+  // Group-map iteration order depends on the schedule and the thread
+  // count; canonical order makes every run's output identical.
+  std::sort(rows.begin(), rows.end(), RowLess());
+  if (block.distinct) {
+    rows.erase(std::unique(rows.begin(), rows.end(), RowEq()), rows.end());
+  }
+  auto result = std::make_shared<Table>(block.output_schema);
+  for (Row& out : rows) result->AppendUnchecked(std::move(out));
   return result;
 }
 
@@ -1159,12 +1167,7 @@ Result<TablePtr> NljpOperator::ExecuteParallel(std::vector<Row> l_rows,
     }
   }
 
-  ICEBERG_ASSIGN_OR_RETURN(TablePtr result,
-                           FinalizeGroups(merged, governor));
-  // Group-map iteration order is nondeterministic across thread counts;
-  // canonical order makes parallel output reproducible.
-  result->SortRowsCanonical();
-  return result;
+  return FinalizeGroups(merged, governor);
 }
 
 std::string NljpOperator::Explain() const {

@@ -75,7 +75,7 @@ struct NljpOptions {
   BindingOrder binding_order = BindingOrder::kNatural;
   /// Worker threads draining the binding stream (morsel-driven). 1 = the
   /// serial path, byte-for-byte today's behavior; 0 = auto
-  /// (hardware_concurrency). The optimizer wires
+  /// (the CPUs the thread may run on). The optimizer wires
   /// ExecOptions::num_threads through. Parallel runs share one striped
   /// memo/prune cache — safe because the cache is advisory (Theorem 3's
   /// one-sided guarantee: a racy miss costs a redundant inner evaluation,

@@ -267,25 +267,5 @@ TEST(VendorA, ParallelCountDistinctMerges) {
   ExpectSame(*seq, *par);
 }
 
-// ----- GroupAndProject helper ------------------------------------------------
-
-TEST(GroupAndProject, MatchesExecutorOnMaterializedRows) {
-  Database db;
-  ObjectConfig cfg;
-  cfg.num_objects = 200;
-  cfg.domain = 30;
-  ASSERT_TRUE(RegisterObjects(&db, cfg).ok());
-  auto block = db.Prepare(
-      "SELECT o.x, COUNT(*) FROM object o GROUP BY o.x HAVING COUNT(*) >= 3");
-  ASSERT_TRUE(block.ok());
-  // Materialize the single-table "join" then aggregate via the helper.
-  std::vector<Row> rows = (*db.GetTable("object"))->rows();
-  auto via_helper = GroupAndProject(*block, rows, nullptr);
-  ASSERT_TRUE(via_helper.ok());
-  auto via_executor = Executor().Execute(*block);
-  ASSERT_TRUE(via_executor.ok());
-  ExpectSame(*via_helper, *via_executor);
-}
-
 }  // namespace
 }  // namespace iceberg
