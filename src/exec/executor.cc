@@ -159,14 +159,12 @@ CboPlan PlanCboOrder(const QueryBlock& block, const ExecOptions& options,
   if (!options.cbo || !CboEnabled() || n < 2) return plan;
   ICEBERG_COUNTER("cbo.plans")->Increment();
 
-  TransferResultPtr xfer;
-  if (plan.topts.enabled && PredicateTransferEnabled()) {
-    TransferPlanOptions topts = plan.topts;
-    topts.governor = governor;
-    const bool vec = options.vectorize && VectorizedExecEnabled();
-    topts.use_zone_maps = topts.use_zone_maps && vec;
-    xfer = BuildTransferGraph(block, topts);
-  }
+  // Off or inapplicable, transfer still returns the a-priori seeds.
+  TransferPlanOptions topts = plan.topts;
+  topts.governor = governor;
+  const bool vec = options.vectorize && VectorizedExecEnabled();
+  topts.use_zone_maps = topts.use_zone_maps && vec;
+  TransferResultPtr xfer = BuildTransferGraph(block, topts);
   plan.topts.prebuilt_valid = true;
   plan.topts.prebuilt = xfer;
 

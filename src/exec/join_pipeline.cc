@@ -263,17 +263,17 @@ Result<JoinPipeline> JoinPipeline::Plan(const QueryBlock& block,
   }
 
   // Predicate transfer: build the block's join graph and propagate Bloom
-  // filters across every equi-join edge to a fixpoint (transfer_graph.h).
-  // The per-relation selections it produces shrink every scan, index
-  // probe, and hash build below — this subsumes the old one-shot
-  // first-join Bloom pre-filters, without their size-skew heuristics.
+  // filters across every equi-join edge to a fixpoint (transfer_graph.h),
+  // starting from the FROM entries' a-priori selections. The per-relation
+  // selections it produces shrink every scan, index probe, and hash build
+  // below. With transfer off or inapplicable the a-priori selections still
+  // apply on their own.
   if (transfer.prebuilt_valid) {
     // The cost-based optimizer already ran transfer (ahead of join
     // ordering, so survivor counts could feed the enumerator); adopt its
     // result — including a null one — instead of rebuilding.
     pipeline.transfer_ = transfer.prebuilt;
-  } else if (transfer.enabled && PredicateTransferEnabled() &&
-             num_tables >= 2) {
+  } else {
     TransferPlanOptions topts = transfer;
     topts.governor = governor;
     // Zone-map refutation needs column chunks; don't build them just for
@@ -329,8 +329,9 @@ Status JoinPipeline::Run(size_t outer_begin, size_t outer_end,
     stats->level_rows.resize(levels_.size(), 0);
   }
   // Transfer selections stand down wholesale if any participating table
-  // mutated after planning (e.g. NLJP parameter rebinding): the bitmaps
-  // were baked against a cross-relation version snapshot.
+  // mutated after planning: the bitmaps were baked against a
+  // cross-relation version snapshot (a seeds-only result pins just the
+  // seeded tables, so NLJP's parameter rebinding leaves it live).
   if (transfer_ != nullptr && transfer_->AnySelection() && transfer_->Live()) {
     scratch.transfer = transfer_.get();
   }

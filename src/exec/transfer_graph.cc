@@ -7,6 +7,7 @@
 
 #include "src/common/logging.h"
 #include "src/exec/bloom.h"
+#include "src/exec/exec_options.h"
 #include "src/exec/key_codec.h"
 #include "src/exec/task_pool.h"
 #include "src/expr/compiled.h"
@@ -48,6 +49,7 @@ struct Node {
   const Table* table = nullptr;
   size_t begin = 0;          // flat offset of the relation's first column
   size_t rows = 0;
+  const RowSelection* seed = nullptr;    // live a-priori selection, if any
   std::vector<ExprPtr> local;            // single-relation conjuncts
   std::vector<CompiledExpr> local_progs;
   std::vector<uint32_t> edges;           // incident edge indexes
@@ -155,6 +157,14 @@ class TransferGraphBuilder {
 
   TransferResultPtr Build();
 
+  /// The block's a-priori seeds alone, for blocks where transfer is off
+  /// or structurally inapplicable: each seeded level keeps exactly its
+  /// seed's rows. A seed carries no information across relations, so the
+  /// result pins only the seeded tables' versions — e.g. NLJP's
+  /// per-binding parameter-table rebinding never invalidates it. Null when
+  /// no FROM entry carries a live seed.
+  static TransferResultPtr SeedsOnly(const QueryBlock& block);
+
  private:
   bool CollectGraph();
   void SeedLocalSelections();
@@ -201,6 +211,7 @@ bool TransferGraphBuilder::CollectGraph() {
     n.table = block_.tables[l].table.get();
     n.begin = block_.tables[l].offset;
     n.rows = n.table->num_rows();
+    n.seed = block_.tables[l].LiveSelection();
   }
 
   // Classify conjuncts: cross-relation equalities between plain columns
@@ -281,16 +292,20 @@ bool TransferGraphBuilder::CollectGraph() {
   // A self-join edge over the *same* columns of the *same* table can never
   // eliminate anything unless one side is already reduced (every key
   // trivially has a partner: itself). Such edges stay in the graph — they
-  // become useful the moment local predicates or other edges shrink one
-  // side — but a graph consisting *only* of them over unfiltered nodes is
-  // a provable no-op, and the stock self-join workloads hit exactly that.
+  // become useful the moment local predicates, a-priori seeds or other
+  // edges shrink one side — but a graph consisting *only* of them over
+  // unfiltered nodes is a provable no-op, and the stock self-join
+  // workloads hit exactly that.
+  auto filtered = [&](const Node& n) {
+    return !n.local.empty() || n.seed != nullptr;
+  };
   bool any_useful = false;
   for (const GraphEdge& e : edges_) {
     const bool self_noop =
         nodes_[e.a_level].table == nodes_[e.b_level].table &&
         e.a_cols == e.b_cols;
-    if (!self_noop || !nodes_[e.a_level].local.empty() ||
-        !nodes_[e.b_level].local.empty()) {
+    if (!self_noop || filtered(nodes_[e.a_level]) ||
+        filtered(nodes_[e.b_level])) {
       any_useful = true;
     }
   }
@@ -306,10 +321,16 @@ bool TransferGraphBuilder::CollectGraph() {
 
 void TransferGraphBuilder::SeedLocalSelections() {
   for (Node& n : nodes_) {
-    if (n.edges.empty()) continue;
-    n.keep.assign(n.rows, 1);
-    n.kept = n.rows;
-    if (n.local.empty()) continue;
+    // An a-priori seed is the node's starting selection even off the
+    // graph (an edgeless seeded node still reports it to the pipeline).
+    if (n.seed != nullptr) {
+      n.keep = n.seed->keep;
+      n.kept = n.seed->kept;
+    } else if (!n.edges.empty()) {
+      n.keep.assign(n.rows, 1);
+      n.kept = n.rows;
+    }
+    if (n.edges.empty() || n.local.empty()) continue;
     n.local_progs = CompileAll(n.local);
     // The conjuncts are bound to the block's flat offsets; pad a scratch
     // row up to the relation's slice (the padding is never read).
@@ -317,6 +338,7 @@ void TransferGraphBuilder::SeedLocalSelections() {
       Row scratch(n.begin);
       EvalScratch eval;
       for (size_t i = begin; i < end; ++i) {
+        if (n.keep[i] == 0) continue;
         const Row& row = n.table->row(i);
         scratch.resize(n.begin);
         scratch.insert(scratch.end(), row.begin(), row.end());
@@ -620,10 +642,37 @@ bool TransferGraphBuilder::ProbeAcross(Node* node, size_t edge_index) {
   return true;
 }
 
+TransferResultPtr TransferGraphBuilder::SeedsOnly(const QueryBlock& block) {
+  const auto t0 = std::chrono::steady_clock::now();
+  std::shared_ptr<TransferResult> result;
+  const size_t n = block.tables.size();
+  for (size_t l = 0; l < n; ++l) {
+    const BoundTableRef& tref = block.tables[l];
+    const RowSelection* seed = tref.LiveSelection();
+    if (seed == nullptr) continue;
+    if (result == nullptr) {
+      result = std::shared_ptr<TransferResult>(new TransferResult());
+      result->keep_.resize(n);
+      result->kept_.resize(n, 0);
+      result->total_.resize(n, 0);
+      for (size_t k = 0; k < n; ++k) {
+        result->total_[k] = block.tables[k].table->num_rows();
+        result->kept_[k] = result->total_[k];
+      }
+    }
+    result->keep_[l] = seed->keep;
+    result->kept_[l] = seed->kept;
+    result->versions_.emplace_back(tref.table.get(), seed->version);
+    result->stats_.rows_eliminated += seed->keep.size() - seed->kept;
+    result->any_selection_ = true;
+  }
+  if (result != nullptr) result->stats_.build_ns = ElapsedNs(t0);
+  return result;
+}
+
 TransferResultPtr TransferGraphBuilder::Build() {
   const auto t0 = std::chrono::steady_clock::now();
-  if (block_.tables.size() < 2) return nullptr;
-  if (!CollectGraph()) return nullptr;
+  if (block_.tables.size() < 2 || !CollectGraph()) return SeedsOnly(block_);
 
   max_passes_ = std::max(1, options_.max_passes);
   SeedLocalSelections();
@@ -702,7 +751,9 @@ TransferResultPtr TransferGraphBuilder::Build() {
 
 TransferResultPtr BuildTransferGraph(const QueryBlock& block,
                                      const TransferPlanOptions& options) {
-  if (!options.enabled) return nullptr;
+  if (!options.enabled || !PredicateTransferEnabled()) {
+    return TransferGraphBuilder::SeedsOnly(block);
+  }
   TransferGraphBuilder builder(block, options);
   return builder.Build();
 }

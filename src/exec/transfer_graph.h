@@ -96,10 +96,19 @@ using TransferResultPtr = std::shared_ptr<const TransferResult>;
 /// anyway). False positives keep extra rows that the real join predicates
 /// then reject — results are byte-identical with transfer on or off.
 ///
+/// A-priori reducer selections on the block's FROM entries
+/// (BoundTableRef::selection) seed the per-level bitmaps: transfer starts
+/// each seeded relation from its seed and carries it across the join
+/// edges, so every bitmap is a subset of its seed.
+///
 /// The selections are baked against a version snapshot of *every* table in
 /// the block (transfer moves information across relations, so one mutated
 /// table invalidates all selections). Live() re-checks the snapshot;
-/// consumers must ignore the selections once it returns false.
+/// consumers must ignore the selections once it returns false. A result
+/// holding seeds alone (transfer off or inapplicable) pins only the seeded
+/// tables. Ignoring a selection is always exact: a transfer drop is a
+/// provable non-partner and a seed drop is an optional a-priori
+/// reduction (Theorem 2).
 class TransferResult {
  public:
   ~TransferResult();
@@ -163,10 +172,12 @@ TransferResultPtr PermuteTransferResult(const TransferResultPtr& result,
 /// to a fixpoint or the pass cap — so every relation is pre-shrunk to the
 /// rows that can possibly contribute to the join result.
 ///
-/// Returns null when transfer is off or structurally inapplicable (fewer
-/// than two relations, no usable equi-join edge, or only self-edges that
-/// provably cannot eliminate anything). A non-null result may still carry
-/// no selections (stats only) when the fixpoint eliminated nothing.
+/// When transfer is off (per query or via PredicateTransferEnabled()) or
+/// structurally inapplicable (fewer than two relations, no usable equi-join
+/// edge, or only self-edges that provably cannot eliminate anything), the
+/// result carries the block's a-priori seeds alone, or is null when there
+/// are none. A non-null result may still carry no selections (stats only)
+/// when the fixpoint eliminated nothing.
 TransferResultPtr BuildTransferGraph(const QueryBlock& block,
                                      const TransferPlanOptions& options);
 

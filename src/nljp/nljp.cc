@@ -228,7 +228,9 @@ Result<std::unique_ptr<NljpOperator>> NljpOperator::Create(
   // one-row parameter table stays below every vectorization threshold, so
   // chunks attach only to the static R-side levels. Predicate transfer is
   // off here: the parameter table is rebound (mutated) per binding, so any
-  // plan-time selection would be invalidated before the first Run.
+  // cross-relation selection would be invalidated before the first Run.
+  // A-priori selections on R-side tables still apply: they pin only their
+  // own table's version.
   {
     TransferPlanOptions no_transfer;
     no_transfer.enabled = false;

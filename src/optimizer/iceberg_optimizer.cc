@@ -221,23 +221,41 @@ std::vector<AprioriOpportunity> IcebergOptimizer::PickApriori(
 Result<QueryBlock> IcebergOptimizer::ApplyReducers(
     const QueryBlock& block,
     const std::vector<AprioriOpportunity>& opportunities,
-    IcebergReport* report) {
+    IcebergReport* report, SelectionReservation* reservation) {
   QueryBlock rewritten = block;
   ExecOptions reducer_exec = options_.base_exec;
   reducer_exec.governor = options_.governor;
   Executor executor(reducer_exec);
+  QueryGovernor* governor = options_.governor.get();
   for (const AprioriOpportunity& opp : opportunities) {
-    ICEBERG_ASSIGN_OR_RETURN(auto replacements,
+    ICEBERG_ASSIGN_OR_RETURN(std::vector<AprioriSelection> selections,
                              ApplyApriori(opp, &executor));
-    for (auto& [table_index, table] : replacements) {
+    for (AprioriSelection& s : selections) {
+      BoundTableRef& tref = rewritten.tables[s.table_index];
+      if (s.selection != nullptr) {
+        // The bitmap is advisory state: Theorem 2 makes the reduction
+        // optional, so a refused reservation drops it, never the query.
+        const size_t bytes = s.selection->keep.size();
+        if (governor != nullptr &&
+            !governor->TryReserve(bytes, "apriori-selection")) {
+          if (report != nullptr) {
+            report->degradations.push_back(
+                "a-priori selection on " + tref.alias +
+                " skipped under memory pressure");
+          }
+          continue;
+        }
+        reservation->governor = governor;
+        reservation->bytes += bytes;
+        tref.selection = std::move(s.selection);
+      }
       if (report != nullptr) {
         IcebergReport::Reduction r;
-        r.alias = rewritten.tables[table_index].alias;
-        r.rows_before = rewritten.tables[table_index].table->num_rows();
-        r.rows_after = table->num_rows();
+        r.alias = tref.alias;
+        r.rows_before = s.rows_before;
+        r.rows_after = s.rows_after;
         report->reductions.push_back(std::move(r));
       }
-      rewritten.tables[table_index].table = table;
     }
   }
   return rewritten;
@@ -352,7 +370,8 @@ Result<std::unique_ptr<NljpOperator>> IcebergOptimizer::PickMemprune(
           // Monotonicity classification reads predicate structure, the
           // comparison direction and base-table data (pinned by the
           // catalog hash in the cache key) — never the threshold literal —
-          // so it is injectable whenever no reducer rewrote the tables.
+          // so it is injectable; it is recorded only for plans without
+          // reducers.
           art.monotonicity_valid = true;
           art.monotonicity = (*op)->monotonicity();
           if (theta_literal_free) {
@@ -442,12 +461,13 @@ Result<TablePtr> IcebergOptimizer::RunFull(const QueryBlock& block,
     }
   }
   QueryBlock rewritten = inferred;
+  SelectionReservation reservation;
   if (!reducers.empty()) {
     TraceSpan span("optimize.apriori_apply", "optimize");
     PhaseTimer timer(&report->timing.apriori_apply_us);
     ICEBERG_COUNTER("optimizer.apriori_applied")->Add(reducers.size());
-    ICEBERG_ASSIGN_OR_RETURN(rewritten,
-                             ApplyReducers(inferred, reducers, report));
+    ICEBERG_ASSIGN_OR_RETURN(
+        rewritten, ApplyReducers(inferred, reducers, report, &reservation));
   }
   if (options_.enable_memo || options_.enable_prune) {
     Result<std::unique_ptr<NljpOperator>> op = [&] {
@@ -484,10 +504,10 @@ Result<TablePtr> IcebergOptimizer::RunFull(const QueryBlock& block,
                                    op.status().message());
   }
   if (cap != nullptr) {
-    // The no-NLJP decision is replayable only when no reducer rewrote the
-    // tables: NLJP applicability reads the reduced tables' FDs, which vary
-    // with literal values. (With the techniques disabled outright the
-    // decision is trivially stable.)
+    // The no-NLJP decision is replayable only when no reducer ran: the
+    // cost model's NLJP veto reads row estimates scaled by the reducers'
+    // selections, which vary with literal values. (With the techniques
+    // disabled outright the decision is trivially stable.)
     cap->captured =
         reducers.empty() || !(options_.enable_memo || options_.enable_prune);
   }
@@ -555,12 +575,13 @@ Result<TablePtr> IcebergOptimizer::RunReplay(const QueryBlock& block,
   }
   // Reducer evaluation is literal-dependent and always re-runs.
   QueryBlock rewritten = inferred;
+  SelectionReservation reservation;
   if (!reducers.empty()) {
     TraceSpan span("optimize.apriori_apply", "optimize");
     PhaseTimer timer(&report->timing.apriori_apply_us);
     ICEBERG_COUNTER("optimizer.apriori_applied")->Add(reducers.size());
-    ICEBERG_ASSIGN_OR_RETURN(rewritten,
-                             ApplyReducers(inferred, reducers, report));
+    ICEBERG_ASSIGN_OR_RETURN(
+        rewritten, ApplyReducers(inferred, reducers, report, &reservation));
   }
   if (trace.used_nljp) {
     if (!options_.enable_memo && !options_.enable_prune) {
@@ -659,9 +680,10 @@ Result<std::string> IcebergOptimizer::Explain(const QueryBlock& block) {
     out += opp.ToString() + "\n";
   }
   QueryBlock rewritten = inferred;
+  SelectionReservation reservation;
   if (!reducers.empty()) {
-    ICEBERG_ASSIGN_OR_RETURN(rewritten,
-                             ApplyReducers(inferred, reducers, &report));
+    ICEBERG_ASSIGN_OR_RETURN(
+        rewritten, ApplyReducers(inferred, reducers, &report, &reservation));
     for (const IcebergReport::Reduction& r : report.reductions) {
       out += "reduced " + r.alias + ": " + std::to_string(r.rows_before) +
              " -> " + std::to_string(r.rows_after) + " rows\n";

@@ -17,7 +17,7 @@ namespace iceberg {
 /// The optimizer decisions captured for one statement shape, stored in the
 /// serving layer's PlanCache and replayed for later statements with the
 /// same shape over the same catalog version. A trace never stores
-/// literal-dependent *data* (reduced tables, memo entries) — those are
+/// literal-dependent *data* (reducer selections, memo entries) — those are
 /// recomputed per statement — only the *decisions* whose search is the
 /// expensive part of planning:
 ///
@@ -189,19 +189,31 @@ class IcebergOptimizer {
   std::vector<AprioriOpportunity> PickApriori(const QueryBlock& block,
                                               IcebergReport* report);
 
-  /// Applies reducers, returning a rewritten block over reduced tables.
+  /// Governor bytes charged for a-priori selection bitmaps, released when
+  /// the plan holding the selections goes out of scope.
+  struct SelectionReservation {
+    QueryGovernor* governor = nullptr;
+    size_t bytes = 0;
+    ~SelectionReservation() {
+      if (governor != nullptr && bytes > 0) governor->Release(bytes);
+    }
+  };
+
+  /// Applies reducers, returning the block with each reduced FROM entry
+  /// carrying its reducer's row selection over the original table. Each
+  /// bitmap is charged to `reservation`'s governor; a refused charge drops
+  /// that selection and records a degradation.
   Result<QueryBlock> ApplyReducers(
       const QueryBlock& block,
       const std::vector<AprioriOpportunity>& opportunities,
-      IcebergReport* report);
+      IcebergReport* report, SelectionReservation* reservation);
 
   /// Phase 2: try to attach an NLJP operator (memo and/or pruning).
   /// `replay_artifacts` (may be null) injects captured NLJP derivations.
   /// When `options_.capture` is set, a successful pick records the chosen
   /// partition; `capture_artifacts_injectable` additionally allows the
-  /// derivation artifacts to be recorded (true only when no reducer
-  /// rewrote the tables, since monotonicity/pruning derivations read the
-  /// reduced tables' FDs).
+  /// derivation artifacts to be recorded (true only when no reducer ran:
+  /// plans with reducers re-derive them per statement).
   Result<std::unique_ptr<NljpOperator>> PickMemprune(
       const QueryBlock& block, IcebergReport* report,
       const NljpPlanArtifacts* replay_artifacts = nullptr,

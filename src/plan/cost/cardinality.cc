@@ -62,11 +62,16 @@ CardinalityEstimator::CardinalityEstimator(const QueryBlock& block)
 
 double CardinalityEstimator::RawRows(size_t t) const {
   if (t >= stats_.size()) return 1.0;
+  const BoundTableRef& tref = block_->tables[t];
+  // An a-priori selection counts exactly the rows the entry ranges over.
+  if (tref.table != nullptr && tref.LiveSelection() != nullptr) {
+    return static_cast<double>(tref.selection->kept);
+  }
   if (stats_[t] != nullptr) {
     return static_cast<double>(stats_[t]->row_count());
   }
-  const TablePtr& table = block_->tables[t].table;
-  return table != nullptr ? static_cast<double>(table->num_rows()) : 1.0;
+  return tref.table != nullptr ? static_cast<double>(tref.table->num_rows())
+                               : 1.0;
 }
 
 double CardinalityEstimator::LocalRows(size_t t) const {

@@ -1,7 +1,9 @@
 #ifndef SMARTICEBERG_PLAN_QUERY_BLOCK_H_
 #define SMARTICEBERG_PLAN_QUERY_BLOCK_H_
 
+#include <cstdint>
 #include <functional>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -25,6 +27,26 @@ struct CatalogEntry {
 using TableResolver =
     std::function<Result<CatalogEntry>(const std::string& name)>;
 
+/// An exact subset of one table's rows: a keep-bitmap built against one
+/// table version. Generalized a-priori (Section 4) reduces a relation to
+/// the rows whose G_L key survives the reducer; the reduced FROM entry
+/// keeps the original TablePtr (so its indexes, column chunks and
+/// statistics are reused) and carries the survivors as a selection.
+/// Every JoinPipeline over the block seeds its predicate-transfer
+/// selections with it (transfer_graph.h).
+struct RowSelection {
+  std::vector<uint8_t> keep;  // indexed by row id; 1 = the row is kept
+  size_t kept = 0;
+  uint64_t version = 0;  // table version the bitmap was built against
+
+  /// True while `table` is still the version the bitmap describes; a
+  /// stale selection is ignored (applying a reducer is optional).
+  bool LiveFor(const Table& table) const {
+    return table.version() == version && table.num_rows() == keep.size();
+  }
+};
+using RowSelectionPtr = std::shared_ptr<const RowSelection>;
+
 /// One bound FROM entry. `offset` is the position of this table's first
 /// column in the concatenated evaluation row used by join operators.
 struct BoundTableRef {
@@ -32,6 +54,15 @@ struct BoundTableRef {
   TablePtr table;
   FdSet fds;       // table FDs (unqualified)
   size_t offset = 0;
+  /// Rows of `table` this entry ranges over; null = every row.
+  RowSelectionPtr selection;
+
+  /// `selection` while it still describes `table`, else null.
+  const RowSelection* LiveSelection() const {
+    return selection != nullptr && selection->LiveFor(*table)
+               ? selection.get()
+               : nullptr;
+  }
 };
 
 struct BoundSelectItem {

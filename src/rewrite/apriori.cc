@@ -2,10 +2,12 @@
 
 #include <algorithm>
 #include <functional>
+#include <unordered_map>
 #include <unordered_set>
 
 #include "src/common/logging.h"
 #include "src/common/string_util.h"
+#include "src/exec/key_codec.h"
 #include "src/expr/evaluator.h"
 
 namespace iceberg {
@@ -55,6 +57,74 @@ bool TriviallyPassesOnSingletons(const ExprPtr& phi) {
   Row dummy;
   return EvaluatePredicate(*phi, dummy, &values);
 }
+
+/// The keys one reducer emitted, projected onto one table's share of G_L
+/// and packed with the PackedKey codec. String columns are
+/// dictionary-encoded against the reducer's own output: a string the
+/// reducer never emitted cannot match, and every other one maps to a dense
+/// id, so a table row's packed key equals a reducer key's exactly when the
+/// SQL values do (NULLs group together, as in GROUP BY).
+class ReducerKeys {
+ public:
+  ReducerKeys(const Table& reducer_result,
+              const AprioriOpportunity::TableApplication& app,
+              const Schema& schema)
+      : dicts_(app.local_key_columns.size()),
+        is_string_(app.local_key_columns.size(), 0),
+        vals_(app.local_key_columns.size()) {
+    std::vector<DataType> types;
+    for (size_t k = 0; k < app.local_key_columns.size(); ++k) {
+      DataType t = schema.column(app.local_key_columns[k]).type;
+      if (t == DataType::kString) {
+        is_string_[k] = 1;
+        t = DataType::kInt64;
+      }
+      types.push_back(t);
+    }
+    codec_ = KeyCodec::ForTypes(std::move(types));
+    ICEBERG_CHECK(codec_.usable());  // CheckApriori bounds the key width
+    for (const Row& row : reducer_result.rows()) {
+      Pack(row, app.reducer_positions, /*add_strings=*/true);
+      keys_.insert(pk_);
+    }
+  }
+
+  /// True when the key columns `cols` of a table row form a surviving key.
+  bool Contains(const Row& row, const std::vector<size_t>& cols) {
+    return Pack(row, cols, /*add_strings=*/false) && keys_.count(pk_) > 0;
+  }
+
+ private:
+  /// Packs `row`'s `cols` into pk_. A string without an id gets a fresh
+  /// one when `add_strings`, else the row cannot match: returns false.
+  bool Pack(const Row& row, const std::vector<size_t>& cols,
+            bool add_strings) {
+    for (size_t k = 0; k < cols.size(); ++k) {
+      const Value& v = row[cols[k]];
+      if (is_string_[k] == 0 || v.is_null()) {
+        vals_[k] = v;
+        continue;
+      }
+      auto& dict = dicts_[k];
+      auto it = add_strings
+                    ? dict.emplace(v.AsString(),
+                                   static_cast<int64_t>(dict.size()))
+                          .first
+                    : dict.find(v.AsString());
+      if (it == dict.end()) return false;
+      vals_[k] = Value::Int(it->second);
+    }
+    codec_.Encode(vals_.data(), vals_.size(), &pk_);
+    return true;
+  }
+
+  std::vector<std::unordered_map<std::string, int64_t>> dicts_;
+  std::vector<uint8_t> is_string_;
+  KeyCodec codec_;
+  std::unordered_set<PackedKey, PackedKeyHash, PackedKeyEq> keys_;
+  std::vector<Value> vals_;  // Pack scratch
+  PackedKey pk_;
+};
 
 }  // namespace
 
@@ -200,6 +270,10 @@ Result<AprioriOpportunity> CheckApriori(const IcebergView& view) {
         app.reducer_positions.push_back(pos);
       }
     }
+    if (app.local_key_columns.size() > PackedKey::kMaxColumns) {
+      return Status::NotSupported("reducer key of " + block.tables[ti].alias +
+                                  " is wider than a packed key");
+    }
     if (!app.local_key_columns.empty()) {
       opp.applications.push_back(std::move(app));
     }
@@ -212,7 +286,7 @@ Result<AprioriOpportunity> CheckApriori(const IcebergView& view) {
   return opp;
 }
 
-Result<std::map<size_t, TablePtr>> ApplyApriori(
+Result<std::vector<AprioriSelection>> ApplyApriori(
     const AprioriOpportunity& opportunity, Executor* executor,
     size_t* reducer_rows_out) {
   ICEBERG_ASSIGN_OR_RETURN(TablePtr reducer_result,
@@ -221,47 +295,37 @@ Result<std::map<size_t, TablePtr>> ApplyApriori(
     *reducer_rows_out = reducer_result->num_rows();
   }
 
-  std::map<size_t, TablePtr> replacements;
+  std::vector<AprioriSelection> selections;
   for (const auto& app : opportunity.applications) {
     // The reducer block holds the same TablePtrs as the original block's
     // L side, ordered by partition.left.
-    TablePtr original;
+    const Table* table = nullptr;
     for (size_t k = 0; k < opportunity.partition.left.size(); ++k) {
       if (opportunity.partition.left[k] == app.table_index) {
-        original = opportunity.reducer_block.tables[k].table;
+        table = opportunity.reducer_block.tables[k].table.get();
       }
     }
-    ICEBERG_CHECK(original != nullptr);
+    ICEBERG_CHECK(table != nullptr);
+    ReducerKeys keys(*reducer_result, app, table->schema());
 
-    // Keys that survive the reducer, projected onto this table's columns.
-    std::unordered_set<Row, RowHash, RowEq> keep;
-    for (const Row& row : reducer_result->rows()) {
-      Row key;
-      key.reserve(app.reducer_positions.size());
-      for (size_t pos : app.reducer_positions) key.push_back(row[pos]);
-      keep.insert(std::move(key));
+    auto selection = std::make_shared<RowSelection>();
+    selection->version = table->version();
+    const size_t rows = table->num_rows();
+    selection->keep.assign(rows, 0);
+    for (size_t i = 0; i < rows; ++i) {
+      if (keys.Contains(table->row(i), app.local_key_columns)) {
+        selection->keep[i] = 1;
+        ++selection->kept;
+      }
     }
-
-    auto reduced = std::make_shared<Table>(original->name() + "_reduced",
-                                           original->schema());
-    for (const Row& row : original->rows()) {
-      Row key;
-      key.reserve(app.local_key_columns.size());
-      for (size_t c : app.local_key_columns) key.push_back(row[c]);
-      if (keep.count(key) > 0) reduced->AppendUnchecked(row);
-    }
-    // Copy secondary-index definitions so downstream planning sees the
-    // same physical options.
-    for (size_t i = 0; i < original->num_ordered_indexes(); ++i) {
-      reduced->BuildOrderedIndexByIds(
-          original->ordered_index(i).key_columns());
-    }
-    for (size_t i = 0; i < original->num_hash_indexes(); ++i) {
-      reduced->BuildHashIndexByIds(original->hash_index(i).key_columns());
-    }
-    replacements[app.table_index] = std::move(reduced);
+    AprioriSelection out;
+    out.table_index = app.table_index;
+    out.rows_before = rows;
+    out.rows_after = selection->kept;
+    if (selection->kept < rows) out.selection = std::move(selection);
+    selections.push_back(std::move(out));
   }
-  return replacements;
+  return selections;
 }
 
 }  // namespace iceberg

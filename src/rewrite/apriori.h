@@ -1,7 +1,6 @@
 #ifndef SMARTICEBERG_REWRITE_APRIORI_H_
 #define SMARTICEBERG_REWRITE_APRIORI_H_
 
-#include <map>
 #include <string>
 #include <vector>
 
@@ -49,11 +48,21 @@ struct AprioriOpportunity {
 /// reason) when any premise fails.
 Result<AprioriOpportunity> CheckApriori(const IcebergView& view);
 
-/// Executes the reducer and materializes the filtered replacement tables.
-/// The returned map sends original table indices to their reduced versions
-/// (secondary-index definitions are copied). `reducer_rows_out`, when
-/// non-null, receives the reducer's result cardinality.
-Result<std::map<size_t, TablePtr>> ApplyApriori(
+/// One table of an applied reducer: its FROM index, its row count before
+/// and after, and the rows it keeps as an exact selection over the
+/// original table (null when the reducer keeps every row).
+struct AprioriSelection {
+  size_t table_index = 0;
+  size_t rows_before = 0;
+  size_t rows_after = 0;
+  RowSelectionPtr selection;
+};
+
+/// Executes the reducer and returns, per application, the selection of the
+/// original table's rows whose key share appears among the reducer's
+/// output. No table is copied. `reducer_rows_out`, when non-null, receives
+/// the reducer's result cardinality.
+Result<std::vector<AprioriSelection>> ApplyApriori(
     const AprioriOpportunity& opportunity, Executor* executor,
     size_t* reducer_rows_out = nullptr);
 
