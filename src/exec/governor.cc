@@ -87,8 +87,12 @@ Status QueryGovernor::ReserveInternal(size_t bytes, const char* tag,
       return injected;
     }
   }
+  // Admission and the charge below happen under one hold of the budget
+  // lock, so concurrent reservations cannot both pass the check and
+  // overshoot the budget together.
+  std::unique_lock<std::mutex> lock;
   if (limits_.memory_budget_bytes > 0) {
-    std::unique_lock<std::mutex> lock(reserve_mu_);
+    lock = std::unique_lock<std::mutex>(reserve_mu_);
     size_t in_use = in_use_.load(std::memory_order_relaxed);
     while (in_use + bytes > limits_.memory_budget_bytes) {
       size_t deficit = in_use + bytes - limits_.memory_budget_bytes;

@@ -9,6 +9,7 @@
 #include <memory>
 #include <mutex>
 #include <string>
+#include <utility>
 
 #include "src/common/status.h"
 
@@ -170,6 +171,62 @@ class QueryGovernor {
 };
 
 using GovernorPtr = std::shared_ptr<QueryGovernor>;
+
+/// Bytes held against one governor and returned when the holder is
+/// destroyed: the single RAII handle for state that lives as long as some
+/// object (a pipeline's column chunks, a transfer build's Bloom filters,
+/// an operator's bindings and LR-groups, a plan's a-priori bitmaps).
+/// Movable, not copyable. With a null governor every reservation succeeds
+/// and nothing is held.
+class GovernorReservation {
+ public:
+  GovernorReservation() = default;
+  explicit GovernorReservation(QueryGovernor* governor)
+      : governor_(governor) {}
+  GovernorReservation(GovernorReservation&& other) noexcept
+      : governor_(other.governor_), bytes_(std::exchange(other.bytes_, 0)) {}
+  GovernorReservation& operator=(GovernorReservation&& other) noexcept {
+    if (this != &other) {
+      ReleaseAll();
+      governor_ = other.governor_;
+      bytes_ = std::exchange(other.bytes_, 0);
+    }
+    return *this;
+  }
+  GovernorReservation(const GovernorReservation&) = delete;
+  GovernorReservation& operator=(const GovernorReservation&) = delete;
+  ~GovernorReservation() { ReleaseAll(); }
+
+  /// Hard reservation (QueryGovernor::Reserve); held on success.
+  Status Reserve(size_t bytes, const char* tag) {
+    if (governor_ == nullptr) return Status::OK();
+    Status st = governor_->Reserve(bytes, tag);
+    if (st.ok()) bytes_ += bytes;
+    return st;
+  }
+  /// Advisory reservation (QueryGovernor::TryReserve); held on success.
+  bool TryReserve(size_t bytes, const char* tag) {
+    if (governor_ == nullptr) return true;
+    if (!governor_->TryReserve(bytes, tag)) return false;
+    bytes_ += bytes;
+    return true;
+  }
+  /// Takes over the bytes `other` holds against the same governor.
+  void Absorb(GovernorReservation&& other) {
+    bytes_ += std::exchange(other.bytes_, 0);
+  }
+
+  QueryGovernor* governor() const { return governor_; }
+
+ private:
+  void ReleaseAll() {
+    if (governor_ != nullptr && bytes_ > 0) governor_->Release(bytes_);
+    bytes_ = 0;
+  }
+
+  QueryGovernor* governor_ = nullptr;
+  size_t bytes_ = 0;
+};
 
 }  // namespace iceberg
 

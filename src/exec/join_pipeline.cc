@@ -66,7 +66,7 @@ Result<JoinPipeline> JoinPipeline::Plan(const QueryBlock& block,
                                         QueryGovernor* governor,
                                         const TransferPlanOptions& transfer,
                                         const PipelinePlanHints* hints) {
-  JoinPipeline pipeline(block);
+  JoinPipeline pipeline(block, governor);
   const bool vec = vectorize && VectorizedExecEnabled();
   const size_t num_tables = block.tables.size();
   ICEBERG_CHECK(num_tables >= 1);
@@ -254,8 +254,8 @@ Result<JoinPipeline> JoinPipeline::Plan(const QueryBlock& block,
       const Table& table = *block.tables[jl.table_index].table;
       if (table.num_rows() < kMinVectorRows) continue;
       ColumnChunkSetPtr chunks = table.GetOrBuildChunks();
-      if (governor != nullptr &&
-          !governor->TryReserve(chunks->approx_bytes(), "column-chunks")) {
+      if (!pipeline.chunk_bytes_.TryReserve(chunks->approx_bytes(),
+                                            "column-chunks")) {
         continue;
       }
       jl.chunks = std::move(chunks);

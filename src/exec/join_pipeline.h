@@ -8,6 +8,7 @@
 
 #include "src/common/status.h"
 #include "src/exec/exec_options.h"
+#include "src/exec/governor.h"
 #include "src/exec/key_codec.h"
 #include "src/exec/transfer_graph.h"
 #include "src/expr/compiled.h"
@@ -128,7 +129,8 @@ class JoinPipeline {
   std::string Explain() const;
 
  private:
-  explicit JoinPipeline(const QueryBlock& block) : block_(&block) {}
+  JoinPipeline(const QueryBlock& block, QueryGovernor* governor)
+      : block_(&block), chunk_bytes_(governor) {}
 
   /// Per-Run mutable state (the pipeline itself stays immutable and
   /// thread-safe): one evaluation stack plus one reusable probe-key row
@@ -154,6 +156,9 @@ class JoinPipeline {
   const QueryBlock* block_;
   std::vector<JoinLevel> levels_;
   TransferResultPtr transfer_;
+  // Governor charge for the attached column chunks, held while the
+  // pipeline lives.
+  GovernorReservation chunk_bytes_;
 };
 
 }  // namespace iceberg

@@ -153,7 +153,9 @@ class TransferGraphBuilder {
  public:
   TransferGraphBuilder(const QueryBlock& block,
                        const TransferPlanOptions& options)
-      : block_(block), options_(options) {}
+      : block_(block),
+        options_(options),
+        filter_reservation_(options.governor) {}
 
   TransferResultPtr Build();
 
@@ -190,6 +192,8 @@ class TransferGraphBuilder {
   std::vector<FilterSlot> slots_;  // 2 per edge: [2*e] from a, [2*e+1] from b
   std::vector<uint32_t> order_;    // participating levels, cost-ranked
   size_t filter_bytes_ = 0;        // reserved filter memory (peak, build)
+  // The governor charge for the Bloom filters, which die with the builder.
+  GovernorReservation filter_reservation_;
   int max_passes_ = 0;
   TransferStats stats_;
   std::unique_ptr<TaskPool> pool_;
@@ -449,8 +453,7 @@ const FilterSlot* TransferGraphBuilder::GetFilter(
 
   auto bloom = std::make_unique<BloomFilter>(source->kept);
   const size_t bytes = bloom->ApproxBytes();
-  if (options_.governor != nullptr &&
-      !options_.governor->TryReserve(bytes, "transfer-filter")) {
+  if (!filter_reservation_.TryReserve(bytes, "transfer-filter")) {
     return nullptr;  // pressure: degrade to the passes done so far
   }
   filter_bytes_ += bytes;

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <chrono>
-#include <deque>
 #include <memory>
 #include <unordered_map>
 
@@ -93,6 +92,32 @@ std::string NljpStats::ToString() const {
   return out;
 }
 
+namespace {
+
+/// The one-row parameter table of Q_R(b), rebound per binding.
+TablePtr NewParamTable(const Schema& schema) {
+  auto param = std::make_shared<Table>("_binding", schema);
+  param->AppendUnchecked(Row(schema.num_columns(), Value::Null()));
+  return param;
+}
+
+/// Plans Q_R(b) over `inner_block`. The one-row parameter table stays
+/// below every vectorization threshold, so chunks attach only to the
+/// static R-side levels. Predicate transfer is off: the parameter table is
+/// rebound (mutated) per binding, so any cross-relation selection would be
+/// invalidated before the first Run. A-priori selections on R-side tables
+/// still apply: they pin only their own table's version.
+Result<JoinPipeline> PlanInnerPipeline(const QueryBlock& inner_block,
+                                       const NljpOptions& options) {
+  TransferPlanOptions no_transfer;
+  no_transfer.enabled = false;
+  return JoinPipeline::Plan(inner_block, options.use_indexes,
+                            /*vectorize=*/true, options.governor.get(),
+                            no_transfer);
+}
+
+}  // namespace
+
 Result<std::unique_ptr<NljpOperator>> NljpOperator::Create(
     IcebergView view, NljpOptions options) {
   const QueryBlock& block = *view.block;
@@ -163,9 +188,7 @@ Result<std::unique_ptr<NljpOperator>> NljpOperator::Create(
     ICEBERG_RETURN_NOT_OK(param_schema.AddColumn(
         {"b" + std::to_string(i), types_by_offset[op->view_.jl_offsets[i]]}));
   }
-  op->param_table_ = std::make_shared<Table>("_binding", param_schema);
-  op->param_table_->AppendUnchecked(
-      Row(param_schema.num_columns(), Value::Null()));
+  op->param_table_ = NewParamTable(param_schema);
 
   BoundTableRef param_ref;
   param_ref.alias = "_b";
@@ -224,23 +247,10 @@ Result<std::unique_ptr<NljpOperator>> NljpOperator::Create(
     op->agg_slot_.push_back(it->second);
   }
 
-  // Plan Q_R once; only the parameter row changes across bindings. The
-  // one-row parameter table stays below every vectorization threshold, so
-  // chunks attach only to the static R-side levels. Predicate transfer is
-  // off here: the parameter table is rebound (mutated) per binding, so any
-  // cross-relation selection would be invalidated before the first Run.
-  // A-priori selections on R-side tables still apply: they pin only their
-  // own table's version.
-  {
-    TransferPlanOptions no_transfer;
-    no_transfer.enabled = false;
-    Result<JoinPipeline> inner_pipeline =
-        JoinPipeline::Plan(op->inner_block_, options.use_indexes,
-                           /*vectorize=*/true, options.governor.get(),
-                           no_transfer);
-    if (!inner_pipeline.ok()) return inner_pipeline.status();
-    op->inner_pipeline_.emplace(std::move(*inner_pipeline));
-  }
+  // Plan Q_R once; only the parameter row changes across bindings.
+  ICEBERG_ASSIGN_OR_RETURN(JoinPipeline inner_pipeline,
+                           PlanInnerPipeline(op->inner_block_, options));
+  op->inner_pipeline_.emplace(std::move(inner_pipeline));
 
   // ---- Memoization applicability (Section 6) ----
   op->memo_enabled_ = options.enable_memo;
@@ -349,13 +359,7 @@ Result<std::unique_ptr<NljpOperator>> NljpOperator::Create(
   return op;
 }
 
-Result<NljpOperator::CacheEntry> NljpOperator::EvaluateInner(
-    Row binding, NljpStats* stats) {
-  return EvaluateInnerWith(*inner_pipeline_, param_table_.get(),
-                           std::move(binding), stats);
-}
-
-Result<NljpOperator::CacheEntry> NljpOperator::EvaluateInnerWith(
+Result<NljpOperator::CacheEntry> NljpOperator::RunInnerQuery(
     const JoinPipeline& pipeline, Table* param, Row binding,
     NljpStats* stats) const {
   // Per-binding inner-join cost: the distribution (not just the total) is
@@ -387,7 +391,7 @@ Result<NljpOperator::CacheEntry> NljpOperator::EvaluateInnerWith(
   std::unordered_map<PackedKey, PartitionState, PackedKeyHash, PackedKeyEq>
       packed_partitions;
   const bool packed = gr_codec_.usable();
-  // Per-call scratch: EvaluateInnerWith runs concurrently (one call per
+  // Per-call scratch: RunInnerQuery runs concurrently (one call per
   // worker), so the evaluation stack and reusable key row live here.
   EvalScratch eval;
   Row key_scratch;
@@ -498,8 +502,7 @@ Row NljpOperator::BindingOf(const Row& l_row) const {
 
 void NljpOperator::ContributeTo(GroupMap* groups, const Row& l_row,
                                 const CacheEntry& entry,
-                                QueryGovernor* governor,
-                                size_t* mandatory_bytes,
+                                GovernorReservation* group_bytes,
                                 EvalScratch* scratch) const {
   const QueryBlock& block = *block_;
   const size_t total_width = block.TotalWidth();
@@ -519,14 +522,13 @@ void NljpOperator::ContributeTo(GroupMap* groups, const Row& l_row,
     }
     auto it = groups->find(group_key);
     if (it == groups->end()) {
-      if (governor != nullptr) {
+      if (group_bytes->governor() != nullptr) {
         // Group state is mandatory: under pressure the cache sheds first;
         // a remaining deficit poisons and the main loop aborts at its
         // next check.
-        size_t group_bytes = RowBytes(group_key) + RowBytes(synthetic) +
-                             slot_funcs_.size() * sizeof(Accumulator) + 64;
-        if (!governor->Reserve(group_bytes, "nljp-groups").ok()) return;
-        *mandatory_bytes += group_bytes;
+        size_t bytes = RowBytes(group_key) + RowBytes(synthetic) +
+                       slot_funcs_.size() * sizeof(Accumulator) + 64;
+        if (!group_bytes->Reserve(bytes, "nljp-groups").ok()) return;
       }
       GroupState state;
       state.synthetic = synthetic;
@@ -643,13 +645,22 @@ Result<TablePtr> NljpOperator::ExecuteImpl(NljpStats* stats) {
   // Hard reservations for transient state (bindings, LR-groups); released
   // when execution leaves this scope so later blocks of the same query see
   // an accurate in-use figure.
-  size_t mandatory_bytes = 0;
+  GovernorReservation mandatory(governor);
+  ICEBERG_ASSIGN_OR_RETURN(std::vector<Row> l_rows,
+                           RunBindingQuery(stats, &mandatory));
+  ICEBERG_ASSIGN_OR_RETURN(GroupMap groups,
+                           RunMainLoop(l_rows, stats, &mandatory));
+  // ---- Q_P: final HAVING + projection per LR-group ----
+  return FinalizeGroups(groups, governor);
+}
 
-  // ---- Q_B: stream (or sort) the L-side tuples ----
+Result<std::vector<Row>> NljpOperator::RunBindingQuery(
+    NljpStats* stats, GovernorReservation* binding_bytes) {
   // Predicate transfer shrinks the binding stream before memoization or
   // pruning ever sees an L-tuple: bindings whose join keys provably match
   // nothing die at the scan instead of costing an inner evaluation.
-  TraceSpan qb_span("nljp.q_b", "nljp");
+  TraceSpan span("nljp.q_b", "nljp");
+  QueryGovernor* governor = options_.governor.get();
   TransferPlanOptions qb_transfer;
   qb_transfer.enabled = options_.predicate_transfer;
   qb_transfer.num_threads = ResolveThreads(options_.num_threads);
@@ -657,7 +668,7 @@ Result<TablePtr> NljpOperator::ExecuteImpl(NljpStats* stats) {
       JoinPipeline binding_pipeline,
       JoinPipeline::Plan(binding_block_, options_.use_indexes,
                          /*vectorize=*/true, governor, qb_transfer));
-  if (stats != nullptr && binding_pipeline.transfer() != nullptr) {
+  if (binding_pipeline.transfer() != nullptr) {
     const TransferStats& ts = binding_pipeline.transfer()->stats();
     stats->transfer_passes += ts.passes;
     stats->transfer_filters_built += ts.filters_built;
@@ -668,27 +679,18 @@ Result<TablePtr> NljpOperator::ExecuteImpl(NljpStats* stats) {
     stats->transfer_build_ns += ts.build_ns;
   }
   std::vector<Row> l_rows;
-  Status binding_status = binding_pipeline.Run(
+  ICEBERG_RETURN_NOT_OK(binding_pipeline.Run(
       0, binding_pipeline.OuterSize(),
       [&](const Row& row) {
-        if (governor != nullptr) {
-          size_t bytes = RowBytes(row);
-          // A failure poisons the governor; the pipeline aborts at its
-          // next per-outer-tuple check.
-          if (!governor->Reserve(bytes, "nljp-bindings").ok()) return;
-          mandatory_bytes += bytes;
+        // A failure poisons the governor; the pipeline aborts at its next
+        // per-outer-tuple check.
+        if (governor != nullptr &&
+            !binding_bytes->Reserve(RowBytes(row), "nljp-bindings").ok()) {
+          return;
         }
         l_rows.push_back(row);
       },
-      nullptr, governor);
-  struct MandatoryGuard {
-    QueryGovernor* governor;
-    size_t* bytes;
-    ~MandatoryGuard() {
-      if (governor != nullptr) governor->Release(*bytes);
-    }
-  } mandatory_guard{governor, &mandatory_bytes};
-  ICEBERG_RETURN_NOT_OK(binding_status);
+      nullptr, governor));
   if (options_.binding_order != BindingOrder::kNatural) {
     bool asc = options_.binding_order == BindingOrder::kSortedAsc;
     std::sort(l_rows.begin(), l_rows.end(), [&](const Row& a, const Row& b) {
@@ -696,340 +698,70 @@ Result<TablePtr> NljpOperator::ExecuteImpl(NljpStats* stats) {
       return asc ? c < 0 : c > 0;
     });
   }
-  qb_span.End();
-
-  // Morsel-driven parallel path. cache_index=false (the linear-scan
-  // ablation of Fig. 4) is a serial-only measurement mode; the shared
-  // cache always hash-indexes. A cross-query cache registry also routes
-  // here (even at one thread): only the SharedNljpCache representation is
-  // safe to share across queries and sessions.
-  const bool cross_query =
-      options_.cache_registry != nullptr && options_.cache_key != 0;
-  const int threads = ResolveThreads(options_.num_threads);
-  if ((threads > 1 || cross_query) && options_.cache_index &&
-      l_rows.size() > 1) {
-    return ExecuteParallel(std::move(l_rows), std::max(threads, 1), stats,
-                           governor, &mandatory_bytes);
-  }
-
-  // ---- Cache ----
-  // Slots are stable ids; the FIFO deque orders live slots oldest-first
-  // for both bound-triggered eviction (max_cache_entries) and
-  // memory-pressure shedding. Both are always safe: the cache is advisory
-  // (Section 5/6) — an evicted binding is merely re-evaluated on reuse and
-  // loses its pruning-witness role.
-  struct Slot {
-    CacheEntry entry;
-    size_t bytes = 0;
-    bool live = false;
-  };
-  std::vector<Slot> cache;
-  std::deque<size_t> fifo;
-  std::vector<size_t> free_slots;
-  size_t shed_entries = 0;
-  size_t bound_evictions = 0;
-  // The memo index (CI) and the unpromising-witness buckets are keyed by
-  // PackedKeys when the binding / equality columns are all numeric; the
-  // Row-keyed maps are the string fallback. Slot payloads always keep the
-  // Row binding (subsumption tests and witnesses need the Values).
-  const bool packed_binding = binding_codec_.usable();
-  const bool packed_eq = eq_codec_.usable();
-  std::unordered_map<Row, size_t, RowHash, RowEq> cache_by_binding;  // CI
-  std::unordered_map<PackedKey, size_t, PackedKeyHash, PackedKeyEq>
-      cache_by_binding_packed;
-  // Unpromising entries, bucketed by the binding positions on which p>=
-  // requires equality (a lossless accelerator for Q_C; see
-  // SubsumptionTest::EqualityPositions).
-  std::unordered_map<Row, std::vector<size_t>, RowHash, RowEq>
-      unpromising_buckets;
-  std::unordered_map<PackedKey, std::vector<size_t>, PackedKeyHash,
-                     PackedKeyEq>
-      unpromising_buckets_packed;
-  auto eq_key_of = [&](const Row& binding) {
-    Row key;
-    key.reserve(prune_eq_positions_.size());
-    for (size_t pos : prune_eq_positions_) key.push_back(binding[pos]);
-    return key;
-  };
-  auto packed_eq_key_of = [&](const Row& binding) {
-    PackedKey key;
-    eq_codec_.EncodeAt(binding, prune_eq_positions_, &key);
-    return key;
-  };
-
-  // Retires the oldest live entry; returns its byte footprint (0 when the
-  // cache is empty).
-  auto evict_oldest = [&]() -> size_t {
-    if (fifo.empty()) return 0;
-    size_t id = fifo.front();
-    fifo.pop_front();
-    Slot& slot = cache[id];
-    if (memo_enabled_) {
-      if (packed_binding) {
-        PackedKey key;
-        binding_codec_.EncodeRow(slot.entry.binding, &key);
-        cache_by_binding_packed.erase(key);
-      } else {
-        cache_by_binding.erase(slot.entry.binding);
-      }
-    }
-    if (prune_enabled_ && slot.entry.unpromising) {
-      std::vector<size_t>& bucket =
-          packed_eq
-              ? unpromising_buckets_packed[packed_eq_key_of(
-                    slot.entry.binding)]
-              : unpromising_buckets[eq_key_of(slot.entry.binding)];
-      bucket.erase(std::remove(bucket.begin(), bucket.end(), id),
-                   bucket.end());
-    }
-    size_t freed = slot.bytes;
-    if (governor != nullptr) governor->Release(freed);
-    slot = Slot();
-    free_slots.push_back(id);
-    return freed;
-  };
-
-  // Under memory pressure, hard reservations (bindings, groups, the
-  // baseline aggregator) shed cache entries before the query is failed.
-  struct ReclaimerGuard {
-    QueryGovernor* governor;
-    ~ReclaimerGuard() {
-      if (governor != nullptr) governor->UnregisterReclaimer();
-    }
-  } reclaimer_guard{governor};
-  if (governor != nullptr) {
-    governor->RegisterReclaimer([&](size_t bytes_needed) -> size_t {
-      size_t freed = 0;
-      size_t count = 0;
-      while (freed < bytes_needed) {
-        size_t f = evict_oldest();
-        if (f == 0) break;
-        freed += f;
-        ++count;
-      }
-      shed_entries += count;
-      governor->AddCacheShed(count);
-      return freed;
-    });
-  }
-  // Return the surviving cache's reservation when execution leaves this
-  // scope (the cache itself is transient operator state).
-  struct CacheGuard {
-    QueryGovernor* governor;
-    std::vector<Slot>* slots;
-    ~CacheGuard() {
-      if (governor == nullptr) return;
-      for (const Slot& slot : *slots) {
-        if (slot.live) governor->Release(slot.bytes);
-      }
-    }
-  } cache_guard{governor, &cache};
-
-  auto memo_lookup = [&](const Row& binding) -> const CacheEntry* {
-    if (options_.cache_index) {
-      if (packed_binding) {
-        PackedKey key;
-        binding_codec_.EncodeRow(binding, &key);
-        auto it = cache_by_binding_packed.find(key);
-        return it == cache_by_binding_packed.end() ? nullptr
-                                                   : &cache[it->second].entry;
-      }
-      auto it = cache_by_binding.find(binding);
-      return it == cache_by_binding.end() ? nullptr
-                                          : &cache[it->second].entry;
-    }
-    // No CI: linear scan of the cache table (Fig. 4's PK+BT config).
-    RowEq eq;
-    for (const Slot& slot : cache) {
-      if (slot.live && eq(slot.entry.binding, binding)) return &slot.entry;
-    }
-    return nullptr;
-  };
-
-  auto prune_check = [&](const Row& binding) -> bool {
-    const std::vector<size_t>* ids = nullptr;
-    if (packed_eq) {
-      auto bucket = unpromising_buckets_packed.find(packed_eq_key_of(binding));
-      if (bucket == unpromising_buckets_packed.end()) return false;
-      ids = &bucket->second;
-    } else {
-      auto bucket = unpromising_buckets.find(eq_key_of(binding));
-      if (bucket == unpromising_buckets.end()) return false;
-      ids = &bucket->second;
-    }
-    for (size_t id : *ids) {
-      if (stats != nullptr) ++stats->prune_tests;
-      const Row& cached = cache[id].entry.binding;
-      bool subsumed = monotonicity_ == Monotonicity::kMonotone
-                          ? subsumption_->Subsumes(cached, binding)
-                          : subsumption_->Subsumes(binding, cached);
-      if (subsumed) return true;
-    }
-    return false;
-  };
-
-  // ---- Main loop + post-processing accumulation (Q_P) ----
-  TraceSpan loop_span("nljp.main_loop", "nljp");
-  GroupMap groups;
-  EvalScratch contribute_scratch;
-
-  for (const Row& l_row : l_rows) {
-    if (governor != nullptr) ICEBERG_RETURN_NOT_OK(governor->Check());
-    if (stats != nullptr) ++stats->bindings_total;
-    Row binding = BindingOf(l_row);
-    if (memo_enabled_) {
-      const CacheEntry* hit = memo_lookup(binding);
-      if (hit != nullptr) {
-        if (stats != nullptr) ++stats->memo_hits;
-        if (governor != nullptr) {
-          // ContributeTo's hard reservation may shed the slot `hit` points
-          // into; contribute from a copy when governed.
-          CacheEntry copy = *hit;
-          ContributeTo(&groups, l_row, copy, governor, &mandatory_bytes,
-                       &contribute_scratch);
-        } else {
-          ContributeTo(&groups, l_row, *hit, governor, &mandatory_bytes,
-                       &contribute_scratch);
-        }
-        continue;
-      }
-    }
-    if (prune_enabled_ && prune_check(binding)) {
-      if (stats != nullptr) ++stats->pruned;
-      continue;
-    }
-    if (stats != nullptr) ++stats->inner_evaluations;
-    ICEBERG_ASSIGN_OR_RETURN(CacheEntry entry, EvaluateInner(binding, stats));
-    ContributeTo(&groups, l_row, entry, governor, &mandatory_bytes,
-                 &contribute_scratch);
-    // Cache the entry when memoization or pruning can use it.
-    bool cache_it = memo_enabled_ || (prune_enabled_ && entry.unpromising);
-    if (cache_it) {
-      // FIFO replacement (paper Section 7 future work): retire the oldest
-      // entry once the bound is reached. Always safe — the cache only
-      // accelerates.
-      while (options_.max_cache_entries > 0 &&
-             fifo.size() >= options_.max_cache_entries) {
-        evict_oldest();
-        ++bound_evictions;
-      }
-      size_t bytes = NljpCacheEntryBytes(entry);
-      // Advisory reservation: under pressure the governor's reclaimer sheds
-      // older entries first; if the new entry still does not fit, skip
-      // caching it rather than failing the query.
-      if (governor != nullptr &&
-          !governor->TryReserve(bytes, "nljp-cache")) {
-        cache_it = false;
-        ++shed_entries;
-        governor->AddCacheShed(1);
-      }
-      if (cache_it) {
-        size_t id;
-        if (!free_slots.empty()) {
-          id = free_slots.back();
-          free_slots.pop_back();
-        } else {
-          id = cache.size();
-          cache.emplace_back();
-        }
-        Slot& slot = cache[id];
-        slot.entry = std::move(entry);
-        slot.bytes = bytes;
-        slot.live = true;
-        fifo.push_back(id);
-        if (memo_enabled_) {
-          if (packed_binding) {
-            PackedKey key;
-            binding_codec_.EncodeRow(slot.entry.binding, &key);
-            cache_by_binding_packed.emplace(key, id);
-          } else {
-            cache_by_binding.emplace(slot.entry.binding, id);
-          }
-        }
-        if (prune_enabled_ && slot.entry.unpromising) {
-          if (packed_eq) {
-            unpromising_buckets_packed[packed_eq_key_of(slot.entry.binding)]
-                .push_back(id);
-          } else {
-            unpromising_buckets[eq_key_of(slot.entry.binding)].push_back(id);
-          }
-        }
-      }
-    }
-  }
-
-  if (stats != nullptr) {
-    for (const Slot& slot : cache) {
-      if (!slot.live) continue;
-      ++stats->cache_entries;
-      stats->cache_bytes += slot.bytes;
-    }
-    stats->cache_evictions += bound_evictions;
-    stats->cache_shed_entries += shed_entries;
-    if (governor != nullptr) {
-      stats->cancel_checks = governor->checks_performed();
-      stats->budget_bytes_peak = governor->bytes_peak();
-    }
-  }
-
-  loop_span.End();
-
-  // ---- Q_P: final HAVING + projection per LR-group ----
-  return FinalizeGroups(groups, governor);
+  return l_rows;
 }
 
-Result<TablePtr> NljpOperator::ExecuteParallel(std::vector<Row> l_rows,
-                                               int threads, NljpStats* stats,
-                                               QueryGovernor* governor,
-                                               size_t* mandatory_bytes) {
-  // One private inner-query context per worker: Q_R's parameter table is
-  // mutated per binding, so each worker gets its own copy of the inner
-  // block (sharing the immutable R tables and expression trees) with a
-  // fresh parameter table, re-planned once up front.
+Result<NljpOperator::GroupMap> NljpOperator::RunMainLoop(
+    const std::vector<Row>& l_rows, NljpStats* stats,
+    GovernorReservation* group_bytes) {
+  QueryGovernor* governor = options_.governor.get();
+  const int threads = ResolveThreads(options_.num_threads);
+
+  // Per-worker state. Q_R's parameter row is rebound per binding, so each
+  // worker runs its own Q_R(b): worker 0 the operator's (planned in
+  // Create), workers 1..n-1 a copy of the inner block (sharing the
+  // immutable R tables and expression trees) over a fresh parameter table.
   struct WorkerCtx {
-    QueryBlock inner_block;
-    TablePtr param;
-    std::optional<JoinPipeline> pipeline;
+    const JoinPipeline* pipeline = nullptr;
+    Table* param = nullptr;
     GroupMap groups;
     NljpStats partial;
     EvalScratch eval;  // compiled-program stack for ContributeTo
-    size_t mandatory = 0;
+    GovernorReservation group_bytes;
+    QueryBlock own_block;  // workers 1..n-1 only
+    std::optional<JoinPipeline> own_pipeline;
   };
   std::vector<std::unique_ptr<WorkerCtx>> ctxs;
   ctxs.reserve(threads);
   for (int w = 0; w < threads; ++w) {
     auto ctx = std::make_unique<WorkerCtx>();
-    ctx->inner_block = inner_block_;
-    ctx->param =
-        std::make_shared<Table>("_binding", param_table_->schema());
-    ctx->param->AppendUnchecked(
-        Row(ctx->param->schema().num_columns(), Value::Null()));
-    ctx->inner_block.tables[0].table = ctx->param;
-    TransferPlanOptions no_transfer;
-    no_transfer.enabled = false;  // param table rebinds per binding
-    ICEBERG_ASSIGN_OR_RETURN(
-        JoinPipeline pipeline,
-        JoinPipeline::Plan(ctx->inner_block, options_.use_indexes,
-                           /*vectorize=*/true, governor, no_transfer));
-    ctx->pipeline.emplace(std::move(pipeline));
+    ctx->group_bytes = GovernorReservation(governor);
+    if (w == 0) {
+      ctx->pipeline = &*inner_pipeline_;
+      ctx->param = param_table_.get();
+    } else {
+      ctx->own_block = inner_block_;
+      TablePtr param = NewParamTable(param_table_->schema());
+      ctx->param = param.get();
+      ctx->own_block.tables[0].table = std::move(param);
+      ICEBERG_ASSIGN_OR_RETURN(JoinPipeline pipeline,
+                               PlanInnerPipeline(ctx->own_block, options_));
+      ctx->pipeline = &ctx->own_pipeline.emplace(std::move(pipeline));
+    }
     ctxs.push_back(std::move(ctx));
   }
 
-  // The memo/prune cache: per-query by default (charged to the governor
-  // exactly like the serial slots, reclaimer-shed under pressure), or
-  // fetched from the cross-query registry so repeated statements reuse
-  // memo entries and pruning witnesses across sessions. Registry caches
-  // are entry-bounded, never governor-charged, and invalidate lazily — a
-  // table mutation rotates the key, so a stale cache is simply never
-  // fetched again.
+  // ---- The memo/prune cache C ----
+  // Per-query by default (charged to the governor as advisory state,
+  // reclaimer-shed under pressure), or fetched from the cross-query
+  // registry so repeated statements reuse memo entries and pruning
+  // witnesses across sessions. Registry caches are entry-bounded, never
+  // governor-charged, and invalidate lazily — a table mutation rotates the
+  // key, so a stale cache is simply never fetched again.
   const bool cross_query =
       options_.cache_registry != nullptr && options_.cache_key != 0;
   auto build_cache_opts = [&]() {
     SharedNljpCache::Options cache_opts;
+    // One stripe at one thread: the FIFO is then one global oldest-first
+    // order, so a one-thread run is deterministic. Registry caches are
+    // shared by concurrent statements and stay striped at any width.
     cache_opts.stripes =
-        std::max<size_t>(8, static_cast<size_t>(threads) * 4);
+        threads == 1 && !cross_query
+            ? 1
+            : std::max<size_t>(8, static_cast<size_t>(threads) * 4);
     cache_opts.max_entries = options_.max_cache_entries;
     cache_opts.memo_index = memo_enabled_;
+    cache_opts.scan_lookup = !options_.cache_index;
     cache_opts.witness_index = prune_enabled_;
     cache_opts.eq_positions = prune_eq_positions_;
     cache_opts.binding_codec = binding_codec_;
@@ -1043,10 +775,12 @@ Result<TablePtr> NljpOperator::ExecuteParallel(std::vector<Row> l_rows,
                   : std::make_shared<SharedNljpCache>(build_cache_opts());
   SharedNljpCache& cache = *cache_holder;
 
-  // Reclaimer wiring only makes sense for the per-query cache: its entries
-  // are charged to this governor, so shedding them repays the budget. A
-  // registry cache's entries are not charged here; shedding them could not
-  // settle a deficit (chaos storms hit it via NljpCacheRegistry::ShedAll).
+  // Under memory pressure, hard reservations (bindings, groups, the
+  // baseline aggregator) shed cache entries before the query is failed.
+  // Only the per-query cache is wired: its entries are charged to this
+  // governor, so shedding them repays the budget. A registry cache's
+  // entries are not charged here; shedding them could not settle a deficit
+  // (chaos storms hit it via NljpCacheRegistry::ShedAll).
   struct ReclaimerGuard {
     QueryGovernor* governor;
     ~ReclaimerGuard() {
@@ -1058,6 +792,7 @@ Result<TablePtr> NljpOperator::ExecuteParallel(std::vector<Row> l_rows,
         [&cache](size_t bytes_needed) { return cache.Shed(bytes_needed); });
   }
 
+  // ---- Q_B -> memo -> Q_C -> Q_R(b) -> Q_P, per binding ----
   const bool monotone = monotonicity_ == Monotonicity::kMonotone;
   auto run_one = [&](WorkerCtx& ctx, const Row& l_row) -> Status {
     if (governor != nullptr) ICEBERG_RETURN_NOT_OK(governor->Check());
@@ -1067,8 +802,7 @@ Result<TablePtr> NljpOperator::ExecuteParallel(std::vector<Row> l_rows,
       CacheEntry hit;
       if (cache.Lookup(binding, &hit)) {
         ++ctx.partial.memo_hits;
-        ContributeTo(&ctx.groups, l_row, hit, governor, &ctx.mandatory,
-                     &ctx.eval);
+        ContributeTo(&ctx.groups, l_row, hit, &ctx.group_bytes, &ctx.eval);
         return Status::OK();
       }
     }
@@ -1088,10 +822,9 @@ Result<TablePtr> NljpOperator::ExecuteParallel(std::vector<Row> l_rows,
     ++ctx.partial.inner_evaluations;
     ICEBERG_ASSIGN_OR_RETURN(
         CacheEntry entry,
-        EvaluateInnerWith(*ctx.pipeline, ctx.param.get(), binding,
-                          &ctx.partial));
-    ContributeTo(&ctx.groups, l_row, entry, governor, &ctx.mandatory,
-                 &ctx.eval);
+        RunInnerQuery(*ctx.pipeline, ctx.param, binding, &ctx.partial));
+    ContributeTo(&ctx.groups, l_row, entry, &ctx.group_bytes, &ctx.eval);
+    // Cache the entry when memoization or pruning can use it.
     if (memo_enabled_ || (prune_enabled_ && entry.unpromising)) {
       cache.Insert(std::move(entry));
     }
@@ -1100,6 +833,7 @@ Result<TablePtr> NljpOperator::ExecuteParallel(std::vector<Row> l_rows,
 
   // Bindings vary wildly in cost (pruned in microseconds vs a full inner
   // join), so morsels are small; the atomic claim counter load-balances.
+  // At one thread the pool runs every morsel inline, in binding order.
   TraceSpan loop_span("nljp.main_loop", "nljp");
   TaskPool pool(threads);
   const size_t morsel = std::max<size_t>(
@@ -1114,9 +848,10 @@ Result<TablePtr> NljpOperator::ExecuteParallel(std::vector<Row> l_rows,
         return Status::OK();
       });
   loop_span.End();
-  // Group reservations must reach the caller's release guard even when the
-  // pool failed partway through.
-  for (const auto& ctx : ctxs) *mandatory_bytes += ctx->mandatory;
+  // The workers' group reservations outlive them: the merged groups stay
+  // charged until the caller has finalized them (also when the pool failed
+  // partway through).
+  for (const auto& ctx : ctxs) group_bytes->Absorb(std::move(ctx->group_bytes));
   ICEBERG_RETURN_NOT_OK(pool_status);
 
   // Merge per-worker LR-group maps. MergeFrom combines full accumulators
@@ -1143,33 +878,30 @@ Result<TablePtr> NljpOperator::ExecuteParallel(std::vector<Row> l_rows,
     }
   }
 
-  if (stats != nullptr) {
-    stats->workers = static_cast<size_t>(threads);
-    stats->busy_us_per_worker = pool.last_busy_micros();
-    stats->bindings_per_worker.clear();
-    for (const auto& ctx : ctxs) {
-      const NljpStats& p = ctx->partial;
-      stats->bindings_total += p.bindings_total;
-      stats->memo_hits += p.memo_hits;
-      stats->pruned += p.pruned;
-      stats->inner_evaluations += p.inner_evaluations;
-      stats->prune_tests += p.prune_tests;
-      stats->inner_pairs_examined += p.inner_pairs_examined;
-      stats->inner_chunks_skipped += p.inner_chunks_skipped;
-      stats->inner_batch_rows += p.inner_batch_rows;
-      stats->bindings_per_worker.push_back(p.bindings_total);
-    }
-    stats->cache_entries += cache.live_entries();
-    stats->cache_bytes += cache.live_bytes();
-    stats->cache_evictions += cache.evictions();
-    stats->cache_shed_entries += cache.shed_entries();
-    if (governor != nullptr) {
-      stats->cancel_checks = governor->checks_performed();
-      stats->budget_bytes_peak = governor->bytes_peak();
-    }
+  stats->workers = static_cast<size_t>(threads);
+  stats->busy_us_per_worker = pool.last_busy_micros();
+  stats->bindings_per_worker.clear();
+  for (const auto& ctx : ctxs) {
+    const NljpStats& p = ctx->partial;
+    stats->bindings_total += p.bindings_total;
+    stats->memo_hits += p.memo_hits;
+    stats->pruned += p.pruned;
+    stats->inner_evaluations += p.inner_evaluations;
+    stats->prune_tests += p.prune_tests;
+    stats->inner_pairs_examined += p.inner_pairs_examined;
+    stats->inner_chunks_skipped += p.inner_chunks_skipped;
+    stats->inner_batch_rows += p.inner_batch_rows;
+    stats->bindings_per_worker.push_back(p.bindings_total);
   }
-
-  return FinalizeGroups(merged, governor);
+  stats->cache_entries += cache.live_entries();
+  stats->cache_bytes += cache.live_bytes();
+  stats->cache_evictions += cache.evictions();
+  stats->cache_shed_entries += cache.shed_entries();
+  if (governor != nullptr) {
+    stats->cancel_checks = governor->checks_performed();
+    stats->budget_bytes_peak = governor->bytes_peak();
+  }
+  return merged;
 }
 
 std::string NljpOperator::Explain() const {

@@ -52,7 +52,8 @@ struct NljpOptions {
   bool enable_memo = true;
   bool enable_prune = true;
   /// "CI" of Fig. 4: a hash index on the cache keyed by binding. Without
-  /// it, memo lookups fall back to a linear scan of the cache table.
+  /// it, memo lookups fall back to a linear scan of the cache's live
+  /// entries (at any thread count).
   bool cache_index = true;
   /// Use secondary indexes inside the inner query Q_R(b).
   bool use_indexes = true;
@@ -73,14 +74,14 @@ struct NljpOptions {
   /// pruning-witness role.
   size_t max_cache_entries = 0;
   BindingOrder binding_order = BindingOrder::kNatural;
-  /// Worker threads draining the binding stream (morsel-driven). 1 = the
-  /// serial path, byte-for-byte today's behavior; 0 = auto
+  /// Worker threads draining the binding stream (morsel-driven); 0 = auto
   /// (the CPUs the thread may run on). The optimizer wires
-  /// ExecOptions::num_threads through. Parallel runs share one striped
-  /// memo/prune cache — safe because the cache is advisory (Theorem 3's
-  /// one-sided guarantee: a racy miss costs a redundant inner evaluation,
-  /// never a wrong result) — and canonically sort their output rows.
-  /// cache_index=false (the linear-scan ablation) is a serial-only mode.
+  /// ExecOptions::num_threads through. Every width runs the same main loop
+  /// over one striped memo/prune cache — safe because the cache is
+  /// advisory (Theorem 3's one-sided guarantee: a racy miss costs a
+  /// redundant inner evaluation, never a wrong result). At 1 the loop runs
+  /// inline on the caller over a single-stripe cache, so the work counters
+  /// are deterministic. Output rows are canonically sorted at any width.
   int num_threads = 1;
   /// Optional per-query resource governor. Cache growth is charged as
   /// advisory state: under memory pressure entries are shed (FIFO) before
@@ -92,10 +93,9 @@ struct NljpOptions {
   /// registry (the serving layer keys it by statement fingerprint +
   /// catalog version) instead of being built per query, so repeated
   /// iceberg queries from any session reuse memo entries and pruning
-  /// witnesses. Forces the shared-cache execution path even at one worker
-  /// thread; output is canonically sorted on that path. Registry caches
-  /// are entry-bounded and never governor-charged (they outlive the
-  /// query's governor).
+  /// witnesses. Registry caches are entry-bounded, striped at any thread
+  /// count, and never governor-charged (they outlive the query's
+  /// governor).
   NljpCacheRegistry* cache_registry = nullptr;
   uint64_t cache_key = 0;
   /// Plan-cache replay: inject previously derived artifacts instead of
@@ -193,11 +193,11 @@ class NljpOperator {
  private:
   NljpOperator() = default;
 
-  /// Body of Execute; `stats` is always the caller's run-local block.
+  /// Body of Execute: Q_B, the main loop, then Q_P. `stats` is always the
+  /// caller's run-local block.
   Result<TablePtr> ExecuteImpl(NljpStats* stats);
 
-  // Cache payload types are shared with SharedNljpCache so serial and
-  // parallel runs charge identical byte footprints to the governor.
+  // Cache payload types of SharedNljpCache.
   using PartitionPayload = NljpPartitionPayload;
   using CacheEntry = NljpCacheEntry;
 
@@ -213,38 +213,40 @@ class NljpOperator {
   /// Projects the binding (J_L values) out of an L-row.
   Row BindingOf(const Row& l_row) const;
 
-  /// Runs Q_R for the binding currently loaded in the parameter table.
-  /// Fails when the governor trips mid-evaluation.
-  Result<CacheEntry> EvaluateInner(Row binding, NljpStats* stats);
-
-  /// Re-entrant core of EvaluateInner: runs Q_R(binding) through the given
-  /// pipeline/parameter table (each worker owns a private pair, since the
-  /// parameter row is mutated per binding). Inner-scan counters (pairs,
-  /// chunk skips, batch rows) accumulate into `stats` (may be null).
-  Result<CacheEntry> EvaluateInnerWith(const JoinPipeline& pipeline,
-                                       Table* param, Row binding,
-                                       NljpStats* stats) const;
+  /// Runs Q_R(binding) through the given pipeline and its parameter table
+  /// (each worker owns a private pair, since the parameter row is rebound
+  /// per binding). Inner-scan counters (pairs, chunk skips, batch rows)
+  /// accumulate into `stats` (may be null). Fails when the governor trips
+  /// mid-evaluation.
+  Result<CacheEntry> RunInnerQuery(const JoinPipeline& pipeline, Table* param,
+                                   Row binding, NljpStats* stats) const;
 
   /// Folds one binding's cached partitions into the LR-group map. Group
-  /// creation takes a hard governor reservation, accumulated into
-  /// `mandatory_bytes`; a failed reservation poisons the governor and the
-  /// caller aborts at its next check.
+  /// creation takes a hard reservation into `group_bytes`; a failed
+  /// reservation poisons the governor and the caller aborts at its next
+  /// check.
   void ContributeTo(GroupMap* groups, const Row& l_row,
-                    const CacheEntry& entry, QueryGovernor* governor,
-                    size_t* mandatory_bytes, EvalScratch* scratch) const;
+                    const CacheEntry& entry, GovernorReservation* group_bytes,
+                    EvalScratch* scratch) const;
 
   /// Q_P finalization: HAVING + projection per LR-group.
   Result<TablePtr> FinalizeGroups(const GroupMap& groups,
                                   QueryGovernor* governor) const;
 
-  /// Morsel-driven parallel main loop (num_threads > 1): workers drain
-  /// bindings from the shared stream, publishing memo entries and pruning
-  /// witnesses through one SharedNljpCache. Output rows are canonically
-  /// sorted. `mandatory_bytes` accumulates the workers' hard group
-  /// reservations for the caller's release guard.
-  Result<TablePtr> ExecuteParallel(std::vector<Row> l_rows, int threads,
-                                   NljpStats* stats, QueryGovernor* governor,
-                                   size_t* mandatory_bytes);
+  /// Q_B: streams (and optionally sorts) the L-side tuples, charging
+  /// each to `binding_bytes` as mandatory state.
+  Result<std::vector<Row>> RunBindingQuery(NljpStats* stats,
+                                           GovernorReservation* binding_bytes);
+
+  /// The NLJP main loop (memo -> Q_C -> Q_R(b) -> LR-group accumulation)
+  /// over the memo/prune cache C: morsel-driven workers drain `l_rows`,
+  /// publishing memo entries and pruning witnesses through one
+  /// SharedNljpCache, and their LR-group maps are merged. The groups'
+  /// hard reservations move into `group_bytes`, which must outlive the
+  /// returned map.
+  Result<GroupMap> RunMainLoop(const std::vector<Row>& l_rows,
+                               NljpStats* stats,
+                               GovernorReservation* group_bytes);
 
   const QueryBlock* block_ = nullptr;
   IcebergView view_;
@@ -263,7 +265,8 @@ class NljpOperator {
 
   // Q_R(b): [param table, R tables...] with Theta + R-local filters.
   // The pipeline is planned once (PostgreSQL "prepares these statements in
-  // advance"); only the parameter row changes between bindings.
+  // advance"); only the parameter row changes between bindings. Worker 0
+  // runs this copy; the main loop plans one more per extra worker.
   QueryBlock inner_block_;
   std::optional<JoinPipeline> inner_pipeline_;
   TablePtr param_table_;

@@ -73,6 +73,19 @@ size_t SharedNljpCache::WitnessStripeOf(const Row& eq_key) const {
 
 bool SharedNljpCache::Lookup(const Row& binding, NljpCacheEntry* out) {
   lookups_->Increment();
+  if (options_.scan_lookup) {
+    RowEq eq;
+    for (MemoStripe& stripe : memo_stripes_) {
+      auto lock = LockStripe(stripe.mu);
+      for (const Slot& slot : stripe.slots) {
+        if (!slot.live || !eq(slot.entry.binding, binding)) continue;
+        *out = slot.entry;
+        hits_->Increment();
+        return true;
+      }
+    }
+    return false;
+  }
   if (options_.binding_codec.usable()) {
     PackedKey key;
     options_.binding_codec.EncodeRow(binding, &key);

@@ -9,6 +9,7 @@
 #include <memory>
 #include <mutex>
 #include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "src/common/value.h"
@@ -37,15 +38,15 @@ struct NljpCacheEntry {
   bool unpromising = false;
 };
 
-/// Byte footprint charged against the governor's memory budget; shared by
-/// the serial and parallel cache implementations so budgets behave the
-/// same at any thread count.
+/// Byte footprint of one entry, charged against the governor's memory
+/// budget.
 size_t NljpCacheEntryBytes(const NljpCacheEntry& entry);
 
-/// A striped concurrent memo/prune cache for the parallel NLJP operator:
-/// entries are sharded by binding hash across stripes, each with its own
-/// mutex and FIFO, so pruning witnesses and memoized partitions found by
-/// one worker publish to all the others.
+/// The NLJP operator's memo/prune cache C, at every thread count: entries
+/// are sharded by binding hash across stripes, each with its own mutex and
+/// FIFO, so pruning witnesses and memoized partitions found by one worker
+/// publish to all the others. With one stripe the FIFO is a single global
+/// oldest-first order and every operation is deterministic.
 ///
 /// Safety: the cache is strictly advisory (Theorem 3's one-sided
 /// guarantee — a cached unpromising witness only ever *skips* work whose
@@ -75,6 +76,9 @@ class SharedNljpCache {
     size_t max_entries = 0;
     /// Maintain the binding -> entry hash index (memoization).
     bool memo_index = true;
+    /// Fig. 4's ablation without the cache index ("CI"): Lookup scans the
+    /// live entries instead of probing the index.
+    bool scan_lookup = false;
     /// Maintain unpromising-witness buckets (pruning).
     bool witness_index = false;
     /// Binding positions on which the derived p>= requires equality;
@@ -96,7 +100,8 @@ class SharedNljpCache {
   SharedNljpCache& operator=(const SharedNljpCache&) = delete;
 
   /// Memo lookup. Copies the entry out under the stripe lock (another
-  /// worker may evict the slot immediately after it is released).
+  /// worker may evict the slot immediately after it is released). With
+  /// Options::scan_lookup, scans every stripe's live slots in turn.
   bool Lookup(const Row& binding, NljpCacheEntry* out);
 
   /// Visits the witnesses bucketed with `binding`'s equality key until
@@ -114,26 +119,18 @@ class SharedNljpCache {
       auto lock = LockStripe(stripe.mu);
       auto bucket = stripe.buckets_packed.find(key);
       if (bucket == stripe.buckets_packed.end()) return false;
-      for (const auto& [id, witness] : bucket->second) {
-        witness_tests_->Increment();
-        if (test(witness)) return true;
-      }
-      return false;
+      return AnyInBucket(bucket->second, test);
     }
     Row eq_key = EqKeyOf(binding);
     WitnessStripe& stripe = witness_stripes_[WitnessStripeOf(eq_key)];
     auto lock = LockStripe(stripe.mu);
     auto bucket = stripe.buckets.find(eq_key);
     if (bucket == stripe.buckets.end()) return false;
-    for (const auto& [id, witness] : bucket->second) {
-      witness_tests_->Increment();
-      if (test(witness)) return true;
-    }
-    return false;
+    return AnyInBucket(bucket->second, test);
   }
 
   /// Inserts an entry (advisory): under memory pressure the entry may be
-  /// dropped instead (counted as shed), matching the serial operator.
+  /// dropped instead (counted as shed).
   void Insert(NljpCacheEntry entry);
 
   /// Governor reclaimer hook: retires oldest entries (round-robin across
@@ -185,6 +182,27 @@ class SharedNljpCache {
                        PackedKeyHash, PackedKeyEq>
         buckets_packed;
   };
+
+  /// Runs `test` over one witness bucket until it returns true. The
+  /// nljp.cache.witness_tests counter is one atomic shared by every
+  /// concurrent statement, so it is bumped once per call, not once per
+  /// witness: contended per-witness increments took a measurable share of
+  /// the served workloads' main-loop time.
+  template <typename TestFn>
+  bool AnyInBucket(const std::vector<std::pair<uint64_t, Row>>& bucket,
+                   TestFn& test) {
+    size_t tested = 0;
+    bool found = false;
+    for (const auto& [id, witness] : bucket) {
+      ++tested;
+      if (test(witness)) {
+        found = true;
+        break;
+      }
+    }
+    witness_tests_->Add(tested);
+    return found;
+  }
 
   /// Stripe-lock acquisition that counts contention: a failed try_lock
   /// (another worker holds this stripe) bumps nljp.cache.contention before

@@ -221,12 +221,11 @@ std::vector<AprioriOpportunity> IcebergOptimizer::PickApriori(
 Result<QueryBlock> IcebergOptimizer::ApplyReducers(
     const QueryBlock& block,
     const std::vector<AprioriOpportunity>& opportunities,
-    IcebergReport* report, SelectionReservation* reservation) {
+    IcebergReport* report, GovernorReservation* reservation) {
   QueryBlock rewritten = block;
   ExecOptions reducer_exec = options_.base_exec;
   reducer_exec.governor = options_.governor;
   Executor executor(reducer_exec);
-  QueryGovernor* governor = options_.governor.get();
   for (const AprioriOpportunity& opp : opportunities) {
     ICEBERG_ASSIGN_OR_RETURN(std::vector<AprioriSelection> selections,
                              ApplyApriori(opp, &executor));
@@ -236,8 +235,7 @@ Result<QueryBlock> IcebergOptimizer::ApplyReducers(
         // The bitmap is advisory state: Theorem 2 makes the reduction
         // optional, so a refused reservation drops it, never the query.
         const size_t bytes = s.selection->keep.size();
-        if (governor != nullptr &&
-            !governor->TryReserve(bytes, "apriori-selection")) {
+        if (!reservation->TryReserve(bytes, "apriori-selection")) {
           if (report != nullptr) {
             report->degradations.push_back(
                 "a-priori selection on " + tref.alias +
@@ -245,8 +243,6 @@ Result<QueryBlock> IcebergOptimizer::ApplyReducers(
           }
           continue;
         }
-        reservation->governor = governor;
-        reservation->bytes += bytes;
         tref.selection = std::move(s.selection);
       }
       if (report != nullptr) {
@@ -461,7 +457,7 @@ Result<TablePtr> IcebergOptimizer::RunFull(const QueryBlock& block,
     }
   }
   QueryBlock rewritten = inferred;
-  SelectionReservation reservation;
+  GovernorReservation reservation(options_.governor.get());
   if (!reducers.empty()) {
     TraceSpan span("optimize.apriori_apply", "optimize");
     PhaseTimer timer(&report->timing.apriori_apply_us);
@@ -575,7 +571,7 @@ Result<TablePtr> IcebergOptimizer::RunReplay(const QueryBlock& block,
   }
   // Reducer evaluation is literal-dependent and always re-runs.
   QueryBlock rewritten = inferred;
-  SelectionReservation reservation;
+  GovernorReservation reservation(options_.governor.get());
   if (!reducers.empty()) {
     TraceSpan span("optimize.apriori_apply", "optimize");
     PhaseTimer timer(&report->timing.apriori_apply_us);
@@ -680,7 +676,7 @@ Result<std::string> IcebergOptimizer::Explain(const QueryBlock& block) {
     out += opp.ToString() + "\n";
   }
   QueryBlock rewritten = inferred;
-  SelectionReservation reservation;
+  GovernorReservation reservation(options_.governor.get());
   if (!reducers.empty()) {
     ICEBERG_ASSIGN_OR_RETURN(
         rewritten, ApplyReducers(inferred, reducers, &report, &reservation));

@@ -189,24 +189,15 @@ class IcebergOptimizer {
   std::vector<AprioriOpportunity> PickApriori(const QueryBlock& block,
                                               IcebergReport* report);
 
-  /// Governor bytes charged for a-priori selection bitmaps, released when
-  /// the plan holding the selections goes out of scope.
-  struct SelectionReservation {
-    QueryGovernor* governor = nullptr;
-    size_t bytes = 0;
-    ~SelectionReservation() {
-      if (governor != nullptr && bytes > 0) governor->Release(bytes);
-    }
-  };
-
   /// Applies reducers, returning the block with each reduced FROM entry
   /// carrying its reducer's row selection over the original table. Each
-  /// bitmap is charged to `reservation`'s governor; a refused charge drops
-  /// that selection and records a degradation.
+  /// bitmap is charged to `reservation` (the query's governor), which the
+  /// caller keeps alive as long as the plan holding the selections; a
+  /// refused charge drops that selection and records a degradation.
   Result<QueryBlock> ApplyReducers(
       const QueryBlock& block,
       const std::vector<AprioriOpportunity>& opportunities,
-      IcebergReport* report, SelectionReservation* reservation);
+      IcebergReport* report, GovernorReservation* reservation);
 
   /// Phase 2: try to attach an NLJP operator (memo and/or pruning).
   /// `replay_artifacts` (may be null) injects captured NLJP derivations.

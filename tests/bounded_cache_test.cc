@@ -5,6 +5,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <string>
+#include <utility>
 
 #include "src/engine/database.h"
 #include "src/workload/object.h"
@@ -49,6 +51,45 @@ TEST_F(BoundedCacheTest, TinyCacheStillCorrect) {
     ASSERT_TRUE(smart.ok()) << smart.status().ToString();
     ExpectSame(base_, *smart);
     EXPECT_LE(report.nljp_stats.cache_entries, bound)
+        << "bound=" << bound;
+  }
+}
+
+// Exact work counters of the one-thread main loop under each bound. At one
+// thread the cache has a single stripe, so the FIFO bound retires the
+// globally oldest entry and every counter is deterministic.
+TEST_F(BoundedCacheTest, OneThreadWorkCountersArePinned) {
+  const std::pair<size_t, const char*> kExpected[] = {
+      {1,
+       "bindings=400 memo_hits=2 pruned=102 inner_evals=296"
+       " prune_tests=357 cache_entries=1 evictions=295"},
+      {2,
+       "bindings=400 memo_hits=3 pruned=183 inner_evals=214"
+       " prune_tests=565 cache_entries=2 evictions=212"},
+      {8,
+       "bindings=400 memo_hits=5 pruned=307 inner_evals=88"
+       " prune_tests=981 cache_entries=8 evictions=80"},
+      {64,
+       "bindings=400 memo_hits=10 pruned=338 inner_evals=52"
+       " prune_tests=1584 cache_entries=52 evictions=0"},
+  };
+  for (const auto& [bound, expected] : kExpected) {
+    IcebergOptions options = IcebergOptions::All();
+    options.base_exec.num_threads = 1;
+    options.max_cache_entries = bound;
+    IcebergReport report;
+    auto smart = db_.QueryIceberg(kSkyband, options, &report);
+    ASSERT_TRUE(smart.ok()) << smart.status().ToString();
+    ExpectSame(base_, *smart);
+    const NljpStats& s = report.nljp_stats;
+    EXPECT_EQ("bindings=" + std::to_string(s.bindings_total) +
+                  " memo_hits=" + std::to_string(s.memo_hits) +
+                  " pruned=" + std::to_string(s.pruned) +
+                  " inner_evals=" + std::to_string(s.inner_evaluations) +
+                  " prune_tests=" + std::to_string(s.prune_tests) +
+                  " cache_entries=" + std::to_string(s.cache_entries) +
+                  " evictions=" + std::to_string(s.cache_evictions),
+              expected)
         << "bound=" << bound;
   }
 }

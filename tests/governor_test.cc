@@ -391,5 +391,72 @@ TEST_F(GovernedQueryTest, NljpStatsRecordGovernance) {
             std::string::npos);
 }
 
+// ---------------------------------------------------------------------------
+// Every reservation a query takes is returned when the query ends
+// ---------------------------------------------------------------------------
+
+/// `big` is large enough for column-chunk projections on its scans;
+/// `small` holds x values covering a quarter of big's, so an equi-join
+/// on x lets predicate transfer eliminate rows.
+void LoadSmallAndBig(Database* db) {
+  ASSERT_TRUE(db->CreateTable("big", Schema({{"id", DataType::kInt64},
+                                             {"x", DataType::kInt64},
+                                             {"g", DataType::kInt64}}))
+                  .ok());
+  ASSERT_TRUE(db->DeclareKey("big", {"id"}).ok());
+  for (int i = 0; i < 4000; ++i) {
+    ASSERT_TRUE(db->Insert("big", {Value::Int(i), Value::Int((i * 7) % 40),
+                                   Value::Int(i % 10)})
+                    .ok());
+  }
+  ASSERT_TRUE(db->CreateTable("small", Schema({{"id", DataType::kInt64},
+                                               {"x", DataType::kInt64}}))
+                  .ok());
+  ASSERT_TRUE(db->DeclareKey("small", {"id"}).ok());
+  for (int i = 0; i < 60; ++i) {
+    ASSERT_TRUE(
+        db->Insert("small", {Value::Int(i), Value::Int((i * 3) % 10)}).ok());
+  }
+}
+
+TEST(GovernorRelease, NljpQueryReturnsEveryByteAtOneAndFourThreads) {
+  Database db;
+  LoadSmallAndBig(&db);
+  const char* sql =
+      "SELECT s.id, b.g, COUNT(*) FROM small s, big b WHERE s.x <= b.x "
+      "GROUP BY s.id, b.g HAVING COUNT(*) >= 2";
+  for (int threads : {1, 4}) {
+    IcebergOptions options = IcebergOptions::All();
+    options.base_exec.num_threads = threads;
+    options.governor = std::make_shared<QueryGovernor>();  // track only
+    IcebergReport report;
+    Result<TablePtr> r = db.QueryIceberg(sql, options, &report);
+    ASSERT_TRUE(r.ok()) << r.status().ToString();
+    ASSERT_TRUE(report.used_nljp) << report.ToString();
+    // The inner Q_R(b) scans over `big` ran on column chunks, so the
+    // chunk reservation was taken, and then given back.
+    EXPECT_GT(report.nljp_stats.inner_batch_rows, 0u) << "t=" << threads;
+    EXPECT_EQ(options.governor->bytes_in_use(), 0u) << "t=" << threads;
+  }
+}
+
+TEST(GovernorRelease, TransferFiltersAreReturnedAfterTheQuery) {
+  Database db;
+  LoadSmallAndBig(&db);
+  for (int threads : {1, 4}) {
+    ExecOptions exec;
+    exec.num_threads = threads;
+    exec.governor = std::make_shared<QueryGovernor>();  // track only
+    ExecStats stats;
+    Result<TablePtr> r = db.Query(
+        "SELECT s.id, COUNT(*) FROM small s, big b WHERE s.x = b.x "
+        "GROUP BY s.id",
+        exec, &stats);
+    ASSERT_TRUE(r.ok()) << r.status().ToString();
+    EXPECT_GT(stats.transfer_filters_built, 0u) << "t=" << threads;
+    EXPECT_EQ(exec.governor->bytes_in_use(), 0u) << "t=" << threads;
+  }
+}
+
 }  // namespace
 }  // namespace iceberg

@@ -5,8 +5,11 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <iterator>
 #include <ostream>
+#include <string>
 
+#include "bench/workload_queries.h"
 #include "src/engine/database.h"
 #include "src/nljp/nljp.h"
 #include "src/workload/object.h"
@@ -130,6 +133,76 @@ TEST(Nljp, CacheIndexOffStillCorrect) {
   auto result = (*op)->Execute(nullptr);
   ASSERT_TRUE(result.ok());
   ExpectSame(*base, *result);
+
+  // The linear scan is a lookup mode of the shared cache, so it holds at
+  // any thread count; output is canonically ordered either way.
+  opts.num_threads = 4;
+  QueryBlock block4;
+  auto op4 = MakeSkybandNljp(db.get(), &block4, opts);
+  ASSERT_TRUE(op4.ok());
+  NljpStats stats4;
+  auto result4 = (*op4)->Execute(&stats4);
+  ASSERT_TRUE(result4.ok());
+  EXPECT_EQ(stats4.workers, 4u);
+  EXPECT_GT(stats4.memo_hits, 0u);
+  ASSERT_EQ((*result)->num_rows(), (*result4)->num_rows());
+  for (size_t i = 0; i < (*result)->num_rows(); ++i) {
+    ASSERT_EQ(RowToString((*result)->rows()[i]),
+              RowToString((*result4)->rows()[i]))
+        << "row " << i;
+  }
+}
+
+// Exact work counters of the one-thread main loop on Fig. 1's Q1-Q8 at
+// 3,000 score rows. At one thread the memo/prune cache has a single
+// stripe, so its FIFO is one global oldest-first order and witnesses are
+// tested in insertion order: every counter below is deterministic. A
+// change to binding order, cache policy, witness order or memo/prune
+// applicability shows up here as a diff.
+std::string WorkCounters(const NljpStats& s) {
+  return "bindings=" + std::to_string(s.bindings_total) +
+         " memo_hits=" + std::to_string(s.memo_hits) +
+         " pruned=" + std::to_string(s.pruned) +
+         " inner_evals=" + std::to_string(s.inner_evaluations) +
+         " prune_tests=" + std::to_string(s.prune_tests) +
+         " cache_entries=" + std::to_string(s.cache_entries) +
+         " evictions=" + std::to_string(s.cache_evictions);
+}
+
+TEST(NljpWorkCounters, Figure1AtOneThread) {
+  const char* const kExpected[] = {
+      "bindings=3000 memo_hits=91 pruned=2872 inner_evals=37"
+      " prune_tests=3834 cache_entries=37 evictions=0",
+      "bindings=3000 memo_hits=834 pruned=2081 inner_evals=85"
+      " prune_tests=7789 cache_entries=85 evictions=0",
+      "bindings=3000 memo_hits=312 pruned=2623 inner_evals=65"
+      " prune_tests=3957 cache_entries=65 evictions=0",
+      "bindings=1005 memo_hits=0 pruned=847 inner_evals=158"
+      " prune_tests=10420 cache_entries=158 evictions=0",
+      "bindings=1005 memo_hits=0 pruned=747 inner_evals=258"
+      " prune_tests=12814 cache_entries=258 evictions=0",
+      "bindings=1005 memo_hits=0 pruned=888 inner_evals=117"
+      " prune_tests=8290 cache_entries=117 evictions=0",
+      "bindings=1005 memo_hits=0 pruned=609 inner_evals=396"
+      " prune_tests=15826 cache_entries=396 evictions=0",
+      "bindings=250 memo_hits=1 pruned=213 inner_evals=36"
+      " prune_tests=407 cache_entries=36 evictions=0",
+  };
+  std::unique_ptr<Database> db = bench::MakeScoreDb(3000);
+  const std::vector<bench::NamedQuery> queries = bench::Figure1Queries();
+  ASSERT_EQ(queries.size(), std::size(kExpected));
+  for (size_t i = 0; i < queries.size(); ++i) {
+    IcebergOptions options = IcebergOptions::All();
+    options.base_exec.num_threads = 1;
+    IcebergReport report;
+    Result<TablePtr> result =
+        db->QueryIceberg(queries[i].sql, options, &report);
+    ASSERT_TRUE(result.ok()) << queries[i].name << ": "
+                             << result.status().ToString();
+    ASSERT_TRUE(report.used_nljp) << queries[i].name;
+    EXPECT_EQ(WorkCounters(report.nljp_stats), kExpected[i])
+        << queries[i].name;
+  }
 }
 
 TEST(Nljp, BindingOrderDoesNotChangeResults) {
