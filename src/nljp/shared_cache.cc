@@ -34,8 +34,6 @@ SharedNljpCache::SharedNljpCache(Options options)
     witness_stripes_ = std::vector<WitnessStripe>(stripes);
   }
   MetricsRegistry& registry = MetricsRegistry::Global();
-  lookups_ = registry.GetCounter("nljp.cache.lookups");
-  hits_ = registry.GetCounter("nljp.cache.hits");
   witness_tests_ = registry.GetCounter("nljp.cache.witness_tests");
   inserts_ = registry.GetCounter("nljp.cache.inserts");
   contention_ = registry.GetCounter("nljp.cache.contention");
@@ -72,7 +70,6 @@ size_t SharedNljpCache::WitnessStripeOf(const Row& eq_key) const {
 }
 
 bool SharedNljpCache::Lookup(const Row& binding, NljpCacheEntry* out) {
-  lookups_->Increment();
   if (options_.scan_lookup) {
     RowEq eq;
     for (MemoStripe& stripe : memo_stripes_) {
@@ -80,7 +77,6 @@ bool SharedNljpCache::Lookup(const Row& binding, NljpCacheEntry* out) {
       for (const Slot& slot : stripe.slots) {
         if (!slot.live || !eq(slot.entry.binding, binding)) continue;
         *out = slot.entry;
-        hits_->Increment();
         return true;
       }
     }
@@ -94,7 +90,6 @@ bool SharedNljpCache::Lookup(const Row& binding, NljpCacheEntry* out) {
     auto it = stripe.by_binding_packed.find(key);
     if (it == stripe.by_binding_packed.end()) return false;
     *out = stripe.slots[it->second].entry;
-    hits_->Increment();
     return true;
   }
   MemoStripe& stripe = memo_stripes_[MemoStripeOf(binding)];
@@ -102,7 +97,6 @@ bool SharedNljpCache::Lookup(const Row& binding, NljpCacheEntry* out) {
   auto it = stripe.by_binding.find(binding);
   if (it == stripe.by_binding.end()) return false;
   *out = stripe.slots[it->second].entry;
-  hits_->Increment();
   return true;
 }
 

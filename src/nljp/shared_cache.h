@@ -225,8 +225,6 @@ class SharedNljpCache {
 
   // Registry handles cached at construction (registration takes a mutex;
   // the handles themselves are lock-free on the hot path).
-  Counter* lookups_ = nullptr;
-  Counter* hits_ = nullptr;
   Counter* witness_tests_ = nullptr;
   Counter* inserts_ = nullptr;
   Counter* contention_ = nullptr;

@@ -139,9 +139,44 @@ std::string IcebergReport::ToString() const {
   return out;
 }
 
-std::vector<AprioriOpportunity> IcebergOptimizer::PickApriori(
-    const QueryBlock& block, IcebergReport* report) {
+/// One statement's plan, alive from Plan to the end of Execute. It is
+/// heap-held and never moves: the NLJP operator points into `block`.
+struct IcebergOptimizer::PlannedBlock {
+  QueryBlock block;  // FD equalities appended, reducer selections attached
+  GovernorReservation reservation;           // the selection bitmaps' bytes
+  std::vector<AprioriOpportunity> reducers;  // applied, in pick order
+  std::unique_ptr<NljpOperator> nljp;  // null: fallback_exec runs `block`
+  std::string no_nljp;                 // why the search found no NLJP plan
+  ExecOptions fallback_exec;
+};
+
+Result<std::vector<AprioriOpportunity>> IcebergOptimizer::PickApriori(
+    const QueryBlock& block, const PlanTrace* trace, IcebergReport* report) {
   std::vector<AprioriOpportunity> picked;
+  if (trace != nullptr) {
+    // Re-verify each recorded reducer partition (safety depends only on
+    // structure + FDs, but re-checking keeps replay trust-free), skipping
+    // the scored candidate search.
+    for (const TablePartition& partition : trace->apriori_partitions) {
+      const std::string desc = partition.ToString(block);
+      Result<IcebergView> view = AnalyzeIceberg(block, partition);
+      if (!view.ok()) {
+        return Status::NotSupported("recorded reducer partition " + desc +
+                                    " no longer analyzable: " +
+                                    view.status().message());
+      }
+      Result<AprioriOpportunity> opp = CheckApriori(*view);
+      if (!opp.ok()) {
+        return Status::NotSupported("recorded reducer partition " + desc +
+                                    " no longer safe: " +
+                                    opp.status().message());
+      }
+      report->steps.push_back("a-priori on " + desc + ": " +
+                              opp->safety_reason + " (replayed)");
+      picked.push_back(std::move(*opp));
+    }
+    return picked;
+  }
   if (!options_.enable_apriori) return picked;
 
   // Listing 9: iterate over candidate subsets; once a reducer claims a set
@@ -185,11 +220,9 @@ std::vector<AprioriOpportunity> IcebergOptimizer::PickApriori(
             double keep = EstimateReducerKeepFraction(opp->reducer_block);
             if (keep >= 0.0 && (1.0 - keep) < kAprioriGateMinRemoved) {
               ICEBERG_COUNTER("cbo.apriori_skipped")->Increment();
-              if (report != nullptr) {
-                report->steps.push_back(
-                    "a-priori on " + partition.ToString(block) +
-                    " skipped by cost model (HAVING keeps ~all groups)");
-              }
+              report->steps.push_back(
+                  "a-priori on " + partition.ToString(block) +
+                  " skipped by cost model (HAVING keeps ~all groups)");
               continue;
             }
           }
@@ -207,10 +240,8 @@ std::vector<AprioriOpportunity> IcebergOptimizer::PickApriori(
       for (const auto& app : best->applications) {
         available.erase(app.table_index);
       }
-      if (report != nullptr) {
-        report->steps.push_back("a-priori on " + best_desc + ": " +
-                                best->safety_reason);
-      }
+      report->steps.push_back("a-priori on " + best_desc + ": " +
+                              best->safety_reason);
       picked.push_back(std::move(*best));
       progress = true;
     }
@@ -218,11 +249,9 @@ std::vector<AprioriOpportunity> IcebergOptimizer::PickApriori(
   return picked;
 }
 
-Result<QueryBlock> IcebergOptimizer::ApplyReducers(
-    const QueryBlock& block,
-    const std::vector<AprioriOpportunity>& opportunities,
+Status IcebergOptimizer::ApplyReducers(
+    const std::vector<AprioriOpportunity>& opportunities, QueryBlock* block,
     IcebergReport* report, GovernorReservation* reservation) {
-  QueryBlock rewritten = block;
   ExecOptions reducer_exec = options_.base_exec;
   reducer_exec.governor = options_.governor;
   Executor executor(reducer_exec);
@@ -230,37 +259,28 @@ Result<QueryBlock> IcebergOptimizer::ApplyReducers(
     ICEBERG_ASSIGN_OR_RETURN(std::vector<AprioriSelection> selections,
                              ApplyApriori(opp, &executor));
     for (AprioriSelection& s : selections) {
-      BoundTableRef& tref = rewritten.tables[s.table_index];
+      BoundTableRef& tref = block->tables[s.table_index];
       if (s.selection != nullptr) {
         // The bitmap is advisory state: Theorem 2 makes the reduction
         // optional, so a refused reservation drops it, never the query.
         const size_t bytes = s.selection->keep.size();
         if (!reservation->TryReserve(bytes, "apriori-selection")) {
-          if (report != nullptr) {
-            report->degradations.push_back(
-                "a-priori selection on " + tref.alias +
-                " skipped under memory pressure");
-          }
+          report->degradations.push_back("a-priori selection on " +
+                                         tref.alias +
+                                         " skipped under memory pressure");
           continue;
         }
         tref.selection = std::move(s.selection);
       }
-      if (report != nullptr) {
-        IcebergReport::Reduction r;
-        r.alias = tref.alias;
-        r.rows_before = s.rows_before;
-        r.rows_after = s.rows_after;
-        report->reductions.push_back(std::move(r));
-      }
+      report->reductions.push_back({tref.alias, s.rows_before, s.rows_after});
     }
   }
-  return rewritten;
+  return Status::OK();
 }
 
 Result<std::unique_ptr<NljpOperator>> IcebergOptimizer::PickMemprune(
-    const QueryBlock& block, IcebergReport* report,
-    const NljpPlanArtifacts* replay_artifacts,
-    bool capture_artifacts_injectable) {
+    const QueryBlock& block, const PlanTrace* trace, PlanTrace* capture,
+    bool capture_artifacts, IcebergReport* report) {
   NljpOptions nljp_options;
   nljp_options.enable_memo = options_.enable_memo;
   nljp_options.enable_prune = options_.enable_prune;
@@ -273,21 +293,25 @@ Result<std::unique_ptr<NljpOperator>> IcebergOptimizer::PickMemprune(
   nljp_options.num_threads = options_.base_exec.num_threads;
   nljp_options.cache_registry = options_.cache_registry;
   nljp_options.cache_key = options_.cache_key;
-  nljp_options.replay_artifacts = replay_artifacts;
+  nljp_options.replay_artifacts =
+      trace != nullptr ? &trace->nljp_artifacts : nullptr;
 
   std::string failures;
-  std::vector<TablePartition> candidates = CandidatePartitions(block);
+  std::vector<TablePartition> candidates =
+      trace != nullptr ? std::vector<TablePartition>{trace->nljp_partition}
+                       : CandidatePartitions(block);
   std::vector<size_t> order(candidates.size());
   std::iota(order.begin(), order.end(), 0);
-  // Under the cost-based optimizer, rank candidate partitions by (1)
-  // pruning capability — a partition satisfying Theorem 3's structural
-  // premise (G_L -> A_L) can skip entire inner executions, which dominates
-  // any memo-reuse difference — then (2) estimated distinct L-side
-  // bindings (ascending): fewer distinct bindings means more memo reuse
-  // per cache entry. Without CBO the emission order stands (minimal L side
-  // covering GROUP BY first), and partitions are analyzed lazily exactly
-  // as before.
-  const bool cbo_active = options_.base_exec.cbo && CboEnabled();
+  // Under the cost-based optimizer, the search ranks candidate partitions
+  // by (1) pruning capability — a partition satisfying Theorem 3's
+  // structural premise (G_L -> A_L) can skip entire inner executions,
+  // which dominates any memo-reuse difference — then (2) estimated
+  // distinct L-side bindings (ascending): fewer distinct bindings means
+  // more memo reuse per cache entry. Without CBO the emission order stands
+  // (minimal L side covering GROUP BY first), and partitions are analyzed
+  // lazily exactly as before.
+  const bool cbo_active =
+      trace == nullptr && options_.base_exec.cbo && CboEnabled();
   std::vector<Result<IcebergView>> views;  // prefilled only under CBO
   std::vector<double> est_bindings(candidates.size(), -1.0);
   std::vector<double> est_l_rows(candidates.size(), -1.0);
@@ -313,6 +337,8 @@ Result<std::unique_ptr<NljpOperator>> IcebergOptimizer::PickMemprune(
       return rank(a) < rank(b);
     });
   }
+  // A replayed partition that no longer plans means the trace does not
+  // transfer; the search instead moves on to its next candidate.
   for (size_t idx : order) {
     const TablePartition& partition = candidates[idx];
     // CandidatePartitions emits the minimal L side covering all GROUP BY
@@ -320,7 +346,14 @@ Result<std::unique_ptr<NljpOperator>> IcebergOptimizer::PickMemprune(
     Result<IcebergView> view = cbo_active
                                    ? std::move(views[idx])
                                    : AnalyzeIceberg(block, partition);
-    if (!view.ok()) continue;
+    if (!view.ok()) {
+      if (trace != nullptr) {
+        return Status::NotSupported(
+            "recorded NLJP partition no longer analyzable: " +
+            view.status().message());
+      }
+      continue;
+    }
     // Memo-only veto: with pruning disabled, an NLJP whose bindings are
     // estimated to almost never repeat over a large L join pays the cache
     // insert on every probe and saves nothing.
@@ -336,7 +369,7 @@ Result<std::unique_ptr<NljpOperator>> IcebergOptimizer::PickMemprune(
     // predicate, so it transfers across literal re-bindings only when θ
     // carries none. Checked before `view` is consumed by Create.
     bool theta_literal_free = true;
-    if (options_.capture != nullptr && capture_artifacts_injectable) {
+    if (capture != nullptr && capture_artifacts) {
       for (const ExprPtr& t : view->theta) {
         if (HasParamLiteral(*t)) {
           theta_literal_free = false;
@@ -346,46 +379,190 @@ Result<std::unique_ptr<NljpOperator>> IcebergOptimizer::PickMemprune(
     }
     Result<std::unique_ptr<NljpOperator>> op =
         NljpOperator::Create(std::move(*view), nljp_options);
-    if (op.ok()) {
-      // Require at least one technique to be active; a bare NLJP is never
-      // better than the baseline join.
-      if (!(*op)->memo_enabled() && !(*op)->prune_enabled()) {
-        failures += "\n  " + partition.ToString(block) +
-                    ": neither memoization nor pruning applicable";
-        continue;
+    if (!op.ok()) {
+      if (trace != nullptr) {
+        return Status::NotSupported(
+            "recorded NLJP partition no longer applicable: " +
+            op.status().message());
       }
-      if (report != nullptr) {
-        report->steps.push_back("NLJP on " + partition.ToString(block));
+      failures += "\n  " + partition.ToString(block) + ": " +
+                  op.status().message();
+      continue;
+    }
+    // Require at least one technique to be active; a bare NLJP is never
+    // better than the baseline join.
+    if (!(*op)->memo_enabled() && !(*op)->prune_enabled()) {
+      if (trace != nullptr) {
+        return Status::NotSupported(
+            "recorded NLJP partition: neither memoization nor pruning "
+            "applicable");
       }
-      if (options_.capture != nullptr) {
-        PlanTrace* cap = options_.capture;
-        cap->used_nljp = true;
-        cap->nljp_partition = partition;
-        if (capture_artifacts_injectable) {
-          NljpPlanArtifacts& art = cap->nljp_artifacts;
-          // Monotonicity classification reads predicate structure, the
-          // comparison direction and base-table data (pinned by the
-          // catalog hash in the cache key) — never the threshold literal —
-          // so it is injectable; it is recorded only for plans without
-          // reducers.
-          art.monotonicity_valid = true;
-          art.monotonicity = (*op)->monotonicity();
-          if (theta_literal_free) {
-            art.have_prune_decision = true;
-            art.prune_enabled = (*op)->prune_enabled();
-            art.prune_disabled_reason = (*op)->prune_disabled_reason();
-            if ((*op)->prune_enabled()) {
-              art.subsumption = (*op)->subsumption();
-            }
+      failures += "\n  " + partition.ToString(block) +
+                  ": neither memoization nor pruning applicable";
+      continue;
+    }
+    report->steps.push_back("NLJP on " + partition.ToString(block) +
+                            (trace != nullptr ? " (replayed)" : ""));
+    if (capture != nullptr) {
+      capture->used_nljp = true;
+      capture->nljp_partition = partition;
+      if (capture_artifacts) {
+        NljpPlanArtifacts& art = capture->nljp_artifacts;
+        // Monotonicity classification reads predicate structure, the
+        // comparison direction and base-table data (pinned by the catalog
+        // hash in the cache key) — never the threshold literal — so it is
+        // injectable; it is recorded only for plans without reducers.
+        art.monotonicity_valid = true;
+        art.monotonicity = (*op)->monotonicity();
+        if (theta_literal_free) {
+          art.have_prune_decision = true;
+          art.prune_enabled = (*op)->prune_enabled();
+          art.prune_disabled_reason = (*op)->prune_disabled_reason();
+          if ((*op)->prune_enabled()) {
+            art.subsumption = (*op)->subsumption();
           }
         }
       }
-      return op;
     }
-    failures += "\n  " + partition.ToString(block) + ": " +
-                op.status().message();
+    return op;
   }
   return Status::NotSupported("no NLJP opportunity:" + failures);
+}
+
+Result<std::unique_ptr<IcebergOptimizer::PlannedBlock>> IcebergOptimizer::Plan(
+    const QueryBlock& block, const PlanTrace* trace, PlanTrace* capture,
+    IcebergReport* report) {
+  if (trace != nullptr && BlockShapeGuard(block) != trace->block_guard) {
+    return Status::NotSupported("block shape guard mismatch");
+  }
+  if (capture != nullptr) capture->block_guard = BlockShapeGuard(block);
+  auto planned = std::make_unique<PlannedBlock>();
+  planned->block = block;
+  planned->reservation = GovernorReservation(options_.governor.get());
+  {
+    TraceSpan span("optimize.infer_fds", "optimize");
+    PhaseTimer timer(&report->timing.infer_us);
+    std::vector<ExprPtr>& conjuncts = planned->block.where_conjuncts;
+    if (trace == nullptr) {
+      InferDerivedEqualities(&planned->block);
+    } else {
+      // Clone per replay: the trace's bound trees are shared by every
+      // session holding the cache entry and must not be aliased into a
+      // live plan.
+      for (const ExprPtr& e : trace->derived_equalities) {
+        conjuncts.push_back(CloneExpr(e));
+      }
+    }
+    const size_t derived = conjuncts.size() - block.where_conjuncts.size();
+    if (derived > 0) {
+      ICEBERG_COUNTER("optimizer.fd_equalities")->Add(derived);
+      report->steps.push_back(
+          trace == nullptr ? "inferred " + std::to_string(derived) +
+                                 " equality predicate(s) from FDs"
+                           : "replayed " + std::to_string(derived) +
+                                 " inferred equality predicate(s)");
+    }
+    for (size_t i = block.where_conjuncts.size();
+         capture != nullptr && i < conjuncts.size(); ++i) {
+      capture->derived_equalities.push_back(CloneExpr(conjuncts[i]));
+    }
+  }
+  {
+    TraceSpan span("optimize.apriori_pick", "optimize");
+    PhaseTimer timer(&report->timing.apriori_pick_us);
+    ICEBERG_ASSIGN_OR_RETURN(planned->reducers,
+                             PickApriori(planned->block, trace, report));
+  }
+  const std::vector<AprioriOpportunity>& reducers = planned->reducers;
+  if (capture != nullptr) {
+    for (const AprioriOpportunity& opp : reducers) {
+      capture->apriori_partitions.push_back(opp.partition);
+    }
+  }
+  // Reducer evaluation is literal-dependent and runs in both modes.
+  if (!reducers.empty()) {
+    TraceSpan span("optimize.apriori_apply", "optimize");
+    PhaseTimer timer(&report->timing.apriori_apply_us);
+    ICEBERG_COUNTER("optimizer.apriori_applied")->Add(reducers.size());
+    ICEBERG_RETURN_NOT_OK(ApplyReducers(reducers, &planned->block, report,
+                                        &planned->reservation));
+  }
+  const bool techniques = options_.enable_memo || options_.enable_prune;
+  if (trace != nullptr && trace->used_nljp && !techniques) {
+    return Status::NotSupported("trace used NLJP but both techniques are "
+                                "disabled");
+  }
+  if (techniques && (trace == nullptr || trace->used_nljp)) {
+    Result<std::unique_ptr<NljpOperator>> op = [&] {
+      TraceSpan span("optimize.pick_memprune", "optimize");
+      PhaseTimer timer(&report->timing.pick_nljp_us);
+      return PickMemprune(planned->block, trace, capture,
+                          /*capture_artifacts=*/reducers.empty(), report);
+    }();
+    if (op.ok()) {
+      if (capture != nullptr) capture->captured = true;
+      planned->nljp = std::move(*op);
+      return planned;
+    }
+    if (trace != nullptr) return op.status();
+    planned->no_nljp = op.status().message();
+    const std::string& why = planned->no_nljp;
+    ICEBERG_LOG(INFO) << "iceberg plan fell back to baseline: " << why;
+    report->steps.push_back("fallback to baseline (" + why + ")");
+    report->degradations.push_back("fallback to baseline plan: " + why);
+  } else if (techniques) {
+    // The captured plan used the baseline executor; replay that decision
+    // without re-running the NLJP partition search.
+    report->steps.push_back("fallback to baseline (replayed decision)");
+    report->degradations.push_back(
+        "fallback to baseline plan (replayed decision)");
+  }
+  planned->fallback_exec = options_.base_exec;
+  planned->fallback_exec.governor = options_.governor;
+  if (capture != nullptr) {
+    // The no-NLJP decision is replayable only when no reducer ran: the
+    // cost model's NLJP veto reads row estimates scaled by the reducers'
+    // selections, which vary with literal values. (With the techniques
+    // disabled outright the decision is trivially stable.)
+    capture->captured = reducers.empty() || !techniques;
+    planned->fallback_exec.transfer_capture = &capture->transfer_schedule;
+    planned->fallback_exec.join_order_capture = &capture->join_order;
+  }
+  if (trace != nullptr && trace->transfer_schedule.valid) {
+    planned->fallback_exec.transfer_replay = &trace->transfer_schedule;
+  }
+  if (trace != nullptr && trace->join_order.valid) {
+    planned->fallback_exec.join_order_replay = &trace->join_order;
+  }
+  return planned;
+}
+
+Result<TablePtr> IcebergOptimizer::Execute(PlannedBlock* planned,
+                                           IcebergReport* report) {
+  if (planned->nljp == nullptr) {
+    if (options_.enable_memo || options_.enable_prune) {
+      ICEBERG_COUNTER("optimizer.fallbacks")->Increment();
+    }
+    Executor executor(planned->fallback_exec);
+    PhaseTimer timer(&report->timing.execute_us);
+    return executor.Execute(planned->block, &report->exec_stats);
+  }
+  NljpOperator& op = *planned->nljp;
+  ICEBERG_COUNTER("optimizer.nljp_chosen")->Increment();
+  report->used_nljp = true;
+  report->nljp_explain = op.Explain();
+  PhaseTimer timer(&report->timing.execute_us);
+  Result<TablePtr> result = op.Execute(&report->nljp_stats);
+  if (options_.enable_prune && !op.prune_enabled()) {
+    report->degradations.push_back("pruning disabled: " +
+                                   op.prune_disabled_reason());
+  }
+  if (report->nljp_stats.cache_shed_entries > 0) {
+    report->degradations.push_back(
+        "shed " + std::to_string(report->nljp_stats.cache_shed_entries) +
+        " cache entries under memory pressure");
+  }
+  return result;
 }
 
 Result<TablePtr> IcebergOptimizer::Run(const QueryBlock& block,
@@ -398,18 +575,18 @@ Result<TablePtr> IcebergOptimizer::Run(const QueryBlock& block,
   QueryGovernor* governor = options_.governor.get();
   if (governor != nullptr) ICEBERG_RETURN_NOT_OK(governor->Check());
   if (options_.replay != nullptr && options_.replay->captured) {
-    // Replay into a scratch report so a non-transferring trace leaves no
-    // half-recorded steps or timings behind.
+    // A scratch report: a trace that does not transfer leaves no steps.
     IcebergReport replay_report;
-    Result<TablePtr> replayed =
-        RunReplay(block, *options_.replay, &replay_report);
+    Result<std::unique_ptr<PlannedBlock>> replayed =
+        Plan(block, options_.replay, /*capture=*/nullptr, &replay_report);
     if (replayed.ok() ||
         replayed.status().code() != StatusCode::kNotSupported) {
-      // Success, or the query's real outcome (governor trips stay
-      // retryable) — either way the replayed plan stands.
+      // The trace transferred, or planning hit the query's real outcome
+      // (governor trips stay retryable): the replayed plan stands.
       replay_report.plan_provenance = "hit";
       *report = std::move(replay_report);
-      return replayed;
+      if (!replayed.ok()) return replayed.status();
+      return Execute(replayed->get(), report);
     }
     ICEBERG_COUNTER("plan_cache.replay_fallbacks")->Increment();
     ICEBERG_LOG(INFO) << "plan trace did not transfer, re-optimizing: "
@@ -420,282 +597,38 @@ Result<TablePtr> IcebergOptimizer::Run(const QueryBlock& block,
   } else if (options_.capture != nullptr) {
     report->plan_provenance = "miss";
   }
-  return RunFull(block, report);
-}
-
-Result<TablePtr> IcebergOptimizer::RunFull(const QueryBlock& block,
-                                           IcebergReport* report) {
-  PlanTrace* cap = options_.capture;
-  if (cap != nullptr) cap->block_guard = BlockShapeGuard(block);
-  QueryBlock inferred = block;
-  {
-    TraceSpan span("optimize.infer_fds", "optimize");
-    PhaseTimer timer(&report->timing.infer_us);
-    size_t derived = InferDerivedEqualities(&inferred);
-    if (derived > 0) {
-      ICEBERG_COUNTER("optimizer.fd_equalities")->Add(derived);
-      report->steps.push_back("inferred " + std::to_string(derived) +
-                              " equality predicate(s) from FDs");
-      if (cap != nullptr) {
-        for (size_t i = block.where_conjuncts.size();
-             i < inferred.where_conjuncts.size(); ++i) {
-          cap->derived_equalities.push_back(
-              CloneExpr(inferred.where_conjuncts[i]));
-        }
-      }
-    }
-  }
-  std::vector<AprioriOpportunity> reducers;
-  {
-    TraceSpan span("optimize.apriori_pick", "optimize");
-    PhaseTimer timer(&report->timing.apriori_pick_us);
-    reducers = PickApriori(inferred, report);
-  }
-  if (cap != nullptr) {
-    for (const AprioriOpportunity& opp : reducers) {
-      cap->apriori_partitions.push_back(opp.partition);
-    }
-  }
-  QueryBlock rewritten = inferred;
-  GovernorReservation reservation(options_.governor.get());
-  if (!reducers.empty()) {
-    TraceSpan span("optimize.apriori_apply", "optimize");
-    PhaseTimer timer(&report->timing.apriori_apply_us);
-    ICEBERG_COUNTER("optimizer.apriori_applied")->Add(reducers.size());
-    ICEBERG_ASSIGN_OR_RETURN(
-        rewritten, ApplyReducers(inferred, reducers, report, &reservation));
-  }
-  if (options_.enable_memo || options_.enable_prune) {
-    Result<std::unique_ptr<NljpOperator>> op = [&] {
-      TraceSpan span("optimize.pick_memprune", "optimize");
-      PhaseTimer timer(&report->timing.pick_nljp_us);
-      return PickMemprune(rewritten, report, /*replay_artifacts=*/nullptr,
-                          /*capture_artifacts_injectable=*/reducers.empty());
-    }();
-    if (op.ok()) {
-      if (cap != nullptr) cap->captured = true;
-      ICEBERG_COUNTER("optimizer.nljp_chosen")->Increment();
-      report->used_nljp = true;
-      report->nljp_explain = (*op)->Explain();
-      PhaseTimer timer(&report->timing.execute_us);
-      Result<TablePtr> result = (*op)->Execute(&report->nljp_stats);
-      if (options_.enable_prune && !(*op)->prune_enabled()) {
-        report->degradations.push_back("pruning disabled: " +
-                                       (*op)->prune_disabled_reason());
-      }
-      if (report->nljp_stats.cache_shed_entries > 0) {
-        report->degradations.push_back(
-            "shed " +
-            std::to_string(report->nljp_stats.cache_shed_entries) +
-            " cache entries under memory pressure");
-      }
-      return result;
-    }
-    ICEBERG_COUNTER("optimizer.fallbacks")->Increment();
-    ICEBERG_LOG(INFO) << "iceberg plan fell back to baseline: "
-                      << op.status().message();
-    report->steps.push_back("fallback to baseline (" +
-                            op.status().message() + ")");
-    report->degradations.push_back("fallback to baseline plan: " +
-                                   op.status().message());
-  }
-  if (cap != nullptr) {
-    // The no-NLJP decision is replayable only when no reducer ran: the
-    // cost model's NLJP veto reads row estimates scaled by the reducers'
-    // selections, which vary with literal values. (With the techniques
-    // disabled outright the decision is trivially stable.)
-    cap->captured =
-        reducers.empty() || !(options_.enable_memo || options_.enable_prune);
-  }
-  ExecOptions fallback_exec = options_.base_exec;
-  fallback_exec.governor = options_.governor;
-  if (cap != nullptr) {
-    fallback_exec.transfer_capture = &cap->transfer_schedule;
-    fallback_exec.join_order_capture = &cap->join_order;
-  }
-  Executor executor(fallback_exec);
-  PhaseTimer timer(&report->timing.execute_us);
-  return executor.Execute(rewritten, &report->exec_stats);
-}
-
-Result<TablePtr> IcebergOptimizer::RunReplay(const QueryBlock& block,
-                                             const PlanTrace& trace,
-                                             IcebergReport* report) {
-  if (BlockShapeGuard(block) != trace.block_guard) {
-    return Status::NotSupported("block shape guard mismatch");
-  }
-  QueryBlock inferred = block;
-  {
-    TraceSpan span("optimize.infer_fds", "optimize");
-    PhaseTimer timer(&report->timing.infer_us);
-    if (!trace.derived_equalities.empty()) {
-      // Clone per replay: the trace's bound trees are shared by every
-      // session holding the cache entry and must not be aliased into a
-      // live plan.
-      for (const ExprPtr& e : trace.derived_equalities) {
-        inferred.where_conjuncts.push_back(CloneExpr(e));
-      }
-      ICEBERG_COUNTER("optimizer.fd_equalities")
-          ->Add(trace.derived_equalities.size());
-      report->steps.push_back(
-          "replayed " + std::to_string(trace.derived_equalities.size()) +
-          " inferred equality predicate(s)");
-    }
-  }
-  // Re-verify each recorded reducer partition (safety depends only on
-  // structure + FDs, but re-checking keeps replay trust-free), skipping
-  // the scored candidate search.
-  std::vector<AprioriOpportunity> reducers;
-  {
-    TraceSpan span("optimize.apriori_pick", "optimize");
-    PhaseTimer timer(&report->timing.apriori_pick_us);
-    for (const TablePartition& partition : trace.apriori_partitions) {
-      Result<IcebergView> view = AnalyzeIceberg(inferred, partition);
-      if (!view.ok()) {
-        return Status::NotSupported("recorded reducer partition " +
-                                    partition.ToString(inferred) +
-                                    " no longer analyzable: " +
-                                    view.status().message());
-      }
-      Result<AprioriOpportunity> opp = CheckApriori(*view);
-      if (!opp.ok()) {
-        return Status::NotSupported("recorded reducer partition " +
-                                    partition.ToString(inferred) +
-                                    " no longer safe: " +
-                                    opp.status().message());
-      }
-      report->steps.push_back("a-priori on " + partition.ToString(inferred) +
-                              ": " + opp->safety_reason + " (replayed)");
-      reducers.push_back(std::move(*opp));
-    }
-  }
-  // Reducer evaluation is literal-dependent and always re-runs.
-  QueryBlock rewritten = inferred;
-  GovernorReservation reservation(options_.governor.get());
-  if (!reducers.empty()) {
-    TraceSpan span("optimize.apriori_apply", "optimize");
-    PhaseTimer timer(&report->timing.apriori_apply_us);
-    ICEBERG_COUNTER("optimizer.apriori_applied")->Add(reducers.size());
-    ICEBERG_ASSIGN_OR_RETURN(
-        rewritten, ApplyReducers(inferred, reducers, report, &reservation));
-  }
-  if (trace.used_nljp) {
-    if (!options_.enable_memo && !options_.enable_prune) {
-      return Status::NotSupported("trace used NLJP but both techniques are "
-                                  "disabled");
-    }
-    Result<std::unique_ptr<NljpOperator>> op =
-        [&]() -> Result<std::unique_ptr<NljpOperator>> {
-      TraceSpan span("optimize.pick_memprune", "optimize");
-      PhaseTimer timer(&report->timing.pick_nljp_us);
-      Result<IcebergView> view =
-          AnalyzeIceberg(rewritten, trace.nljp_partition);
-      if (!view.ok()) {
-        return Status::NotSupported(
-            "recorded NLJP partition no longer analyzable: " +
-            view.status().message());
-      }
-      NljpOptions nljp_options;
-      nljp_options.enable_memo = options_.enable_memo;
-      nljp_options.enable_prune = options_.enable_prune;
-      nljp_options.cache_index = options_.cache_index;
-      nljp_options.use_indexes = options_.use_indexes;
-      nljp_options.predicate_transfer = options_.base_exec.predicate_transfer;
-      nljp_options.binding_order = options_.binding_order;
-      nljp_options.max_cache_entries = options_.max_cache_entries;
-      nljp_options.governor = options_.governor;
-      nljp_options.num_threads = options_.base_exec.num_threads;
-      nljp_options.cache_registry = options_.cache_registry;
-      nljp_options.cache_key = options_.cache_key;
-      nljp_options.replay_artifacts = &trace.nljp_artifacts;
-      Result<std::unique_ptr<NljpOperator>> created =
-          NljpOperator::Create(std::move(*view), nljp_options);
-      if (!created.ok()) {
-        return Status::NotSupported(
-            "recorded NLJP partition no longer applicable: " +
-            created.status().message());
-      }
-      if (!(*created)->memo_enabled() && !(*created)->prune_enabled()) {
-        return Status::NotSupported(
-            "recorded NLJP partition: neither memoization nor pruning "
-            "applicable");
-      }
-      return created;
-    }();
-    if (!op.ok()) return op.status();
-    report->steps.push_back(
-        "NLJP on " + trace.nljp_partition.ToString(rewritten) + " (replayed)");
-    ICEBERG_COUNTER("optimizer.nljp_chosen")->Increment();
-    report->used_nljp = true;
-    report->nljp_explain = (*op)->Explain();
-    PhaseTimer timer(&report->timing.execute_us);
-    Result<TablePtr> result = (*op)->Execute(&report->nljp_stats);
-    if (options_.enable_prune && !(*op)->prune_enabled()) {
-      report->degradations.push_back("pruning disabled: " +
-                                     (*op)->prune_disabled_reason());
-    }
-    if (report->nljp_stats.cache_shed_entries > 0) {
-      report->degradations.push_back(
-          "shed " + std::to_string(report->nljp_stats.cache_shed_entries) +
-          " cache entries under memory pressure");
-    }
-    return result;
-  }
-  // The captured plan used the baseline executor; replay that decision
-  // without re-running the NLJP partition search.
-  if (options_.enable_memo || options_.enable_prune) {
-    ICEBERG_COUNTER("optimizer.fallbacks")->Increment();
-    report->steps.push_back("fallback to baseline (replayed decision)");
-    report->degradations.push_back(
-        "fallback to baseline plan (replayed decision)");
-  }
-  ExecOptions fallback_exec = options_.base_exec;
-  fallback_exec.governor = options_.governor;
-  if (trace.transfer_schedule.valid) {
-    fallback_exec.transfer_replay = &trace.transfer_schedule;
-  }
-  if (trace.join_order.valid) {
-    fallback_exec.join_order_replay = &trace.join_order;
-  }
-  Executor executor(fallback_exec);
-  PhaseTimer timer(&report->timing.execute_us);
-  return executor.Execute(rewritten, &report->exec_stats);
+  ICEBERG_ASSIGN_OR_RETURN(
+      std::unique_ptr<PlannedBlock> planned,
+      Plan(block, /*trace=*/nullptr, options_.capture, report));
+  return Execute(planned.get(), report);
 }
 
 Result<std::string> IcebergOptimizer::Explain(const QueryBlock& block) {
   IcebergReport report;
-  QueryBlock inferred = block;
-  size_t derived = InferDerivedEqualities(&inferred);
+  ICEBERG_ASSIGN_OR_RETURN(
+      std::unique_ptr<PlannedBlock> planned,
+      Plan(block, /*trace=*/nullptr, /*capture=*/nullptr, &report));
   std::string out;
+  // Planning only appends conjuncts: the FD-derived equalities.
+  const size_t derived = planned->block.where_conjuncts.size() -
+                         block.where_conjuncts.size();
   if (derived > 0) {
     out += "inferred " + std::to_string(derived) +
            " equality predicate(s) from FDs\n";
   }
-  std::vector<AprioriOpportunity> reducers = PickApriori(inferred, &report);
-  for (const AprioriOpportunity& opp : reducers) {
+  for (const AprioriOpportunity& opp : planned->reducers) {
     out += opp.ToString() + "\n";
   }
-  QueryBlock rewritten = inferred;
-  GovernorReservation reservation(options_.governor.get());
-  if (!reducers.empty()) {
-    ICEBERG_ASSIGN_OR_RETURN(
-        rewritten, ApplyReducers(inferred, reducers, &report, &reservation));
-    for (const IcebergReport::Reduction& r : report.reductions) {
-      out += "reduced " + r.alias + ": " + std::to_string(r.rows_before) +
-             " -> " + std::to_string(r.rows_after) + " rows\n";
-    }
+  for (const IcebergReport::Reduction& r : report.reductions) {
+    out += "reduced " + r.alias + ": " + std::to_string(r.rows_before) +
+           " -> " + std::to_string(r.rows_after) + " rows\n";
   }
+  if (planned->nljp != nullptr) return out + planned->nljp->Explain();
   if (options_.enable_memo || options_.enable_prune) {
-    Result<std::unique_ptr<NljpOperator>> op =
-        PickMemprune(rewritten, &report);
-    if (op.ok()) {
-      out += (*op)->Explain();
-      return out;
-    }
-    out += "no NLJP: " + op.status().message() + "\n";
+    out += "no NLJP: " + planned->no_nljp + "\n";
   }
-  Executor executor(options_.base_exec);
-  out += executor.Explain(rewritten);
+  Executor executor(planned->fallback_exec);
+  out += executor.Explain(planned->block);
   return out;
 }
 

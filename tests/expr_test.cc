@@ -3,6 +3,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <string>
+
 #include "src/expr/aggregate.h"
 #include "src/expr/evaluator.h"
 #include "src/expr/expr.h"
@@ -235,11 +238,20 @@ TEST_P(AlgebraicSplitTest, PartialMergeEqualsDirect) {
   }
 }
 
+// Names each case after its aggregate (COUNT_STAR, COUNT, SUM, ...).
+std::string AggFuncParamName(const ::testing::TestParamInfo<AggFunc>& info) {
+  if (info.param == AggFunc::kCountStar) return "COUNT_STAR";
+  std::string name = AggFuncName(info.param);
+  std::replace(name.begin(), name.end(), ' ', '_');
+  return name;
+}
+
 INSTANTIATE_TEST_SUITE_P(AllAlgebraic, AlgebraicSplitTest,
                          ::testing::Values(AggFunc::kCountStar,
                                            AggFunc::kCount, AggFunc::kSum,
                                            AggFunc::kMin, AggFunc::kMax,
-                                           AggFunc::kAvg));
+                                           AggFunc::kAvg),
+                         AggFuncParamName);
 
 TEST(Accumulator, MergeFromHandlesDistinct) {
   Accumulator a(AggFunc::kCountDistinct), b(AggFunc::kCountDistinct);

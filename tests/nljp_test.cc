@@ -191,17 +191,54 @@ TEST(NljpWorkCounters, Figure1AtOneThread) {
   std::unique_ptr<Database> db = bench::MakeScoreDb(3000);
   const std::vector<bench::NamedQuery> queries = bench::Figure1Queries();
   ASSERT_EQ(queries.size(), std::size(kExpected));
+  auto reductions = [](const IcebergReport& r) {
+    std::string out;
+    for (const IcebergReport::Reduction& x : r.reductions) {
+      out += x.alias + ":" + std::to_string(x.rows_before) + "->" +
+             std::to_string(x.rows_after) + ";";
+    }
+    return out;
+  };
   for (size_t i = 0; i < queries.size(); ++i) {
     IcebergOptions options = IcebergOptions::All();
     options.base_exec.num_threads = 1;
+    PlanTrace trace;
+    IcebergOptions capture = options;
+    capture.capture = &trace;
     IcebergReport report;
     Result<TablePtr> result =
-        db->QueryIceberg(queries[i].sql, options, &report);
+        db->QueryIceberg(queries[i].sql, capture, &report);
     ASSERT_TRUE(result.ok()) << queries[i].name << ": "
                              << result.status().ToString();
     ASSERT_TRUE(report.used_nljp) << queries[i].name;
     EXPECT_EQ(WorkCounters(report.nljp_stats), kExpected[i])
         << queries[i].name;
+
+    // Replaying the captured trace plans and runs the same work. CTE
+    // statements bypass the plan cache, so they have no replay leg.
+    if (report.plan_provenance == "bypass") continue;
+    ASSERT_TRUE(trace.captured) << queries[i].name;
+    IcebergOptions replay = options;
+    replay.replay = &trace;
+    IcebergReport replay_report;
+    Result<TablePtr> replayed =
+        db->QueryIceberg(queries[i].sql, replay, &replay_report);
+    ASSERT_TRUE(replayed.ok()) << queries[i].name << ": "
+                               << replayed.status().ToString();
+    EXPECT_EQ(replay_report.plan_provenance, "hit") << queries[i].name;
+    ASSERT_EQ((*replayed)->num_rows(), (*result)->num_rows())
+        << queries[i].name;
+    for (size_t r = 0; r < (*result)->num_rows(); ++r) {
+      ASSERT_EQ(RowToString((*replayed)->rows()[r]),
+                RowToString((*result)->rows()[r]))
+          << queries[i].name << " row " << r;
+    }
+    EXPECT_EQ(replay_report.nljp_explain, report.nljp_explain)
+        << queries[i].name;
+    EXPECT_EQ(reductions(replay_report), reductions(report))
+        << queries[i].name;
+    EXPECT_EQ(WorkCounters(replay_report.nljp_stats), kExpected[i])
+        << queries[i].name << " (replayed)";
   }
 }
 

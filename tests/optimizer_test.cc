@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <string>
 
 #include "src/engine/database.h"
 #include "src/rewrite/equality_inference.h"
@@ -27,6 +28,48 @@ void ExpectSame(const TablePtr& a, const TablePtr& b,
         << context << ": " << RowToString(ra[i]) << " vs "
         << RowToString(rb[i]);
   }
+}
+
+/// EXPLAIN renders the plan Run executes: the same reductions, and either
+/// the same NLJP section or the reason the plan fell back. An EXPLAIN
+/// issued with a capture trace records nothing into it.
+void ExpectExplainAgreesWithRun(Database* db, const std::string& sql) {
+  IcebergReport report;
+  Result<TablePtr> run = db->QueryIceberg(sql, IcebergOptions::All(), &report);
+  ASSERT_TRUE(run.ok()) << run.status().ToString();
+  Result<std::string> explain = db->ExplainIceberg(sql);
+  ASSERT_TRUE(explain.ok()) << explain.status().ToString();
+  ASSERT_FALSE(report.reductions.empty()) << report.ToString();
+  for (const IcebergReport::Reduction& r : report.reductions) {
+    const std::string line = "reduced " + r.alias + ": " +
+                             std::to_string(r.rows_before) + " -> " +
+                             std::to_string(r.rows_after) + " rows\n";
+    EXPECT_NE(explain->find(line), std::string::npos) << *explain;
+  }
+  if (report.used_nljp) {
+    const size_t nljp = explain->find("NLJP operator");
+    ASSERT_NE(nljp, std::string::npos) << *explain;
+    EXPECT_EQ(explain->substr(nljp), report.nljp_explain);
+  } else {
+    EXPECT_EQ(explain->find("NLJP operator"), std::string::npos) << *explain;
+    const std::string prefix = "fallback to baseline plan: ";
+    ASSERT_FALSE(report.degradations.empty()) << report.ToString();
+    const std::string& fallback = report.degradations.back();
+    ASSERT_EQ(fallback.rfind(prefix, 0), 0u) << fallback;
+    EXPECT_NE(explain->find("no NLJP: " + fallback.substr(prefix.size()) +
+                            "\n"),
+              std::string::npos)
+        << *explain;
+  }
+
+  PlanTrace trace;
+  IcebergOptions capture = IcebergOptions::All();
+  capture.capture = &trace;
+  Result<TablePtr> explained = db->QueryIceberg("EXPLAIN " + sql, capture);
+  ASSERT_TRUE(explained.ok()) << explained.status().ToString();
+  EXPECT_FALSE(trace.captured);
+  EXPECT_FALSE(trace.used_nljp);
+  EXPECT_TRUE(trace.apriori_partitions.empty());
 }
 
 constexpr char kComplexSql[] =
@@ -111,6 +154,8 @@ TEST_F(ComplexQueryTest, PruningPredicateMatchesListing10) {
   EXPECT_NE(explain->find("="), std::string::npos);
   EXPECT_NE(explain->find("memoization: enabled"), std::string::npos)
       << *explain;
+  // Reducers on S1 and S2, then NLJP.
+  ExpectExplainAgreesWithRun(&db_, kComplexSql);
 }
 
 TEST_F(ComplexQueryTest, VendorAAgreesToo) {
@@ -246,6 +291,7 @@ TEST(OptimizerMarketBasket, AprioriOnBothSidesNoNljp) {
   auto base = db.Query(sql);
   ASSERT_TRUE(base.ok());
   ExpectSame(*base, *smart);
+  ExpectExplainAgreesWithRun(&db, sql);
 }
 
 }  // namespace
