@@ -234,6 +234,15 @@ void CollectColumnRefs(const ExprPtr& e, std::vector<const Expr*>* out) {
   for (const ExprPtr& c : e->children) CollectColumnRefs(c, out);
 }
 
+void CollectGroupLevelRefs(const ExprPtr& e, std::vector<const Expr*>* out) {
+  if (e == nullptr || e->kind == ExprKind::kAggregate) return;
+  if (e->kind == ExprKind::kColumnRef) {
+    out->push_back(e.get());
+    return;
+  }
+  for (const ExprPtr& c : e->children) CollectGroupLevelRefs(c, out);
+}
+
 void SplitConjuncts(const ExprPtr& e, std::vector<ExprPtr>* out) {
   if (e == nullptr) return;
   if (e->kind == ExprKind::kBinary && e->bop == BinaryOp::kAnd) {

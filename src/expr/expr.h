@@ -122,6 +122,10 @@ void CollectAggregates(const ExprPtr& e, std::vector<ExprPtr>* out);
 void CollectColumnRefs(const ExprPtr& e, std::vector<Expr*>* out);
 void CollectColumnRefs(const ExprPtr& e, std::vector<const Expr*>* out);
 
+/// Appends the column-ref nodes outside aggregate calls: the columns a
+/// grouped block reads once per group.
+void CollectGroupLevelRefs(const ExprPtr& e, std::vector<const Expr*>* out);
+
 /// Splits an expression into its top-level AND conjuncts.
 void SplitConjuncts(const ExprPtr& e, std::vector<ExprPtr>* out);
 

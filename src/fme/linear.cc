@@ -8,10 +8,6 @@
 namespace iceberg {
 namespace fme {
 
-namespace {
-constexpr double kEps = 1e-9;
-}
-
 int VarPool::Intern(const std::string& name) {
   auto it = ids_.find(name);
   if (it != ids_.end()) return it->second;
@@ -47,7 +43,7 @@ void LinearExpr::Scale(double s) {
 
 void LinearExpr::Normalize() {
   for (auto it = coeffs_.begin(); it != coeffs_.end();) {
-    if (std::fabs(it->second) < kEps) {
+    if (std::fabs(it->second) < kLinearEpsilon) {
       it = coeffs_.erase(it);
     } else {
       ++it;
@@ -71,7 +67,7 @@ std::string LinearExpr::ToString(const VarPool& pool) const {
     if (!first) out += coeff >= 0 ? " + " : " - ";
     double mag = first ? coeff : std::fabs(coeff);
     first = false;
-    if (std::fabs(std::fabs(mag) - 1.0) > kEps) {
+    if (std::fabs(std::fabs(mag) - 1.0) > kLinearEpsilon) {
       char buf[32];
       std::snprintf(buf, sizeof(buf), "%g*", mag);
       out += buf;
@@ -80,7 +76,7 @@ std::string LinearExpr::ToString(const VarPool& pool) const {
     }
     out += pool.Name(var);
   }
-  if (first || std::fabs(constant_) > kEps) {
+  if (first || std::fabs(constant_) > kLinearEpsilon) {
     char buf[32];
     std::snprintf(buf, sizeof(buf), "%g", constant_);
     if (!first) out += constant_ >= 0 ? " + " : " - ";
@@ -96,11 +92,11 @@ bool LinAtom::Eval(const std::vector<double>& assignment) const {
   double v = expr.Eval(assignment);
   switch (op) {
     case AtomOp::kLe:
-      return v <= kEps;
+      return v <= kLinearEpsilon;
     case AtomOp::kLt:
-      return v < -kEps;
+      return v < -kLinearEpsilon;
     case AtomOp::kEq:
-      return std::fabs(v) <= kEps;
+      return std::fabs(v) <= kLinearEpsilon;
   }
   return false;
 }

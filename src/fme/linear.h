@@ -8,6 +8,10 @@
 namespace iceberg {
 namespace fme {
 
+/// Tolerance of every float comparison over linear expressions (atom
+/// evaluation, zero coefficients).
+inline constexpr double kLinearEpsilon = 1e-9;
+
 /// Variables are interned integers; VarPool maps them to names for
 /// diagnostics.
 class VarPool {

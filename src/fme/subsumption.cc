@@ -1,6 +1,9 @@
 #include "src/fme/subsumption.h"
 
 #include <algorithm>
+#include <cmath>
+#include <map>
+#include <utility>
 
 #include "src/common/logging.h"
 
@@ -174,6 +177,105 @@ bool SubsumptionTest::Subsumes(const Row& w, const Row& w_prime) const {
     }
   }
   return EvalFormula(*formula_, assignment);
+}
+
+uint8_t CompiledSubsumption::Decode(const Row& row,
+                                    const std::vector<size_t>& positions,
+                                    double* out) const {
+  uint8_t bits = kNumericAsW | kNumericAsWPrime;
+  for (size_t i = 0; i < width_; ++i) {
+    const Value& v = row[positions[i]];
+    switch (v.tag()) {
+      case 1:
+        out[i] = static_cast<double>(v.int_unchecked());
+        break;
+      case 2:
+        out[i] = v.double_unchecked();
+        break;
+      default:
+        out[i] = 0.0;
+        bits &= static_cast<uint8_t>(~reads_[i]);
+    }
+  }
+  return bits;
+}
+
+bool CompiledSubsumption::TestDnf(const double* w,
+                                  const double* w_prime) const {
+  uint32_t atom = 0;
+  uint32_t term = 0;
+  for (uint32_t end : disjuncts_end_) {
+    bool holds = true;
+    for (; atom < end; ++atom) {
+      const Atom& a = atoms_[atom];
+      // LinearExpr::Eval's sum: the constant, then the terms in var order.
+      double v = a.constant;
+      for (; term < a.terms_end; ++term) {
+        const Term& t = terms_[term];
+        v += t.coeff * (t.prime ? w_prime : w)[t.pos];
+      }
+      bool ok = a.op == AtomOp::kLe   ? v <= kLinearEpsilon
+                : a.op == AtomOp::kLt ? v < -kLinearEpsilon
+                                      : std::fabs(v) <= kLinearEpsilon;
+      if (!ok) {
+        holds = false;
+        break;
+      }
+    }
+    if (holds) return true;
+    atom = end;
+    term = end > 0 ? atoms_[end - 1].terms_end : 0;
+  }
+  return false;
+}
+
+Status SubsumptionTest::Compile() {
+  CompiledSubsumption& c = compiled_;
+  c = CompiledSubsumption();
+  c.width_ = w_var_of_position_.size();
+  c.reads_.assign(c.width_, 0);
+  std::map<int, std::pair<uint32_t, bool>> slot_of_var;  // var -> (pos, w')
+  for (size_t pos = 0; pos < c.width_; ++pos) {
+    if (w_var_of_position_[pos] >= 0) {
+      c.reads_[pos] |= CompiledSubsumption::kNumericAsW;
+      slot_of_var[w_var_of_position_[pos]] = {static_cast<uint32_t>(pos),
+                                               false};
+    }
+    if (w_prime_var_of_position_[pos] >= 0) {
+      c.reads_[pos] |= CompiledSubsumption::kNumericAsWPrime;
+      slot_of_var[w_prime_var_of_position_[pos]] = {
+          static_cast<uint32_t>(pos), true};
+    }
+  }
+  using Kind = CompiledSubsumption::Kind;
+  if (formula_ == nullptr || formula_->kind == FormulaKind::kTrue) {
+    c.kind_ = Kind::kTrue;
+    return Status::OK();
+  }
+  if (formula_->kind == FormulaKind::kFalse) {
+    c.kind_ = Kind::kFalse;
+    return Status::OK();
+  }
+  // The derived formula is already DNF; ToDnf just lists its disjuncts.
+  ICEBERG_ASSIGN_OR_RETURN(std::vector<Conjunction> dnf,
+                           ToDnf(ToNnf(formula_)));
+
+  c.kind_ = Kind::kDnf;
+  for (const Conjunction& conjunction : dnf) {
+    for (const LinAtom& atom : conjunction) {
+      for (const auto& [var, coeff] : atom.expr.coeffs()) {
+        auto slot = slot_of_var.find(var);
+        // Every R-side variable was eliminated; any other variable reads
+        // 0 in Subsumes' assignment and adds nothing.
+        if (slot == slot_of_var.end()) continue;
+        c.terms_.push_back({coeff, slot->second.first, slot->second.second});
+      }
+      c.atoms_.push_back({atom.expr.constant(),
+                          static_cast<uint32_t>(c.terms_.size()), atom.op});
+    }
+    c.disjuncts_end_.push_back(static_cast<uint32_t>(c.atoms_.size()));
+  }
+  return Status::OK();
 }
 
 std::string SubsumptionTest::ToString() const {
@@ -370,6 +472,7 @@ Result<SubsumptionTest> DeriveSubsumption(const SubsumptionSpec& spec) {
                            EliminateQuantifiers(quantified));
   ICEBERG_ASSIGN_OR_RETURN(test.formula_, SimplifyToDnf(eliminated));
   test.equal_positions_.assign(equal_pos_set.begin(), equal_pos_set.end());
+  ICEBERG_RETURN_NOT_OK(test.Compile());
   return test;
 }
 

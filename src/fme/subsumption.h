@@ -1,6 +1,7 @@
 #ifndef SMARTICEBERG_FME_SUBSUMPTION_H_
 #define SMARTICEBERG_FME_SUBSUMPTION_H_
 
+#include <cstdint>
 #include <functional>
 #include <string>
 #include <vector>
@@ -35,6 +36,71 @@ struct SubsumptionSpec {
   std::vector<DataType> types_by_offset;
 };
 
+/// p>= compiled to a flat, allocation-free program over decoded bindings,
+/// for the NLJP prune path (Q_C). A binding is decoded once (Decode: one
+/// double per binding position); Test then evaluates the derived formula
+/// with exactly the arithmetic of SubsumptionTest::Subsumes -- the same
+/// terms summed in the same order, the same epsilon -- so the two agree bit
+/// for bit. The formula runs as its DNF disjuncts of linear atoms; the
+/// orthant test of Section 5.2's skyband examples is one disjunct of unit
+/// differences `w.i - w'.i <= 0`. The one part of Subsumes that Test leaves to the caller is the
+/// string-equality residue (EqualityPositions' string part): NLJP buckets
+/// its witnesses by those positions, so bucket mates already agree there.
+class CompiledSubsumption {
+ public:
+  /// Decode's result bits: the binding is numeric at every position p>=
+  /// reads in the w role / in the w' role. Subsumes is false for a binding
+  /// that is not, whatever the formula (unless p>= is TRUE).
+  static constexpr uint8_t kNumericAsW = 1;
+  static constexpr uint8_t kNumericAsWPrime = 2;
+
+  /// Doubles per decoded binding (the binding width).
+  size_t width() const { return width_; }
+
+  /// Decodes the binding whose position i holds row[positions[i]] into
+  /// `out` (width() doubles; non-numeric positions read 0) and returns its
+  /// kNumeric* bits.
+  uint8_t Decode(const Row& row, const std::vector<size_t>& positions,
+                 double* out) const;
+
+  /// p>=(w, w') over decoded bindings and their Decode bits, string
+  /// residue excepted.
+  bool Test(const double* w, uint8_t w_bits, const double* w_prime,
+            uint8_t w_prime_bits) const {
+    if (kind_ == Kind::kTrue) return true;
+    if (kind_ == Kind::kFalse) return false;
+    if ((w_bits & kNumericAsW) == 0 ||
+        (w_prime_bits & kNumericAsWPrime) == 0) {
+      return false;
+    }
+    return TestDnf(w, w_prime);
+  }
+
+ private:
+  friend class SubsumptionTest;
+
+  enum class Kind : uint8_t { kTrue, kFalse, kDnf };
+  struct Term {
+    double coeff;
+    uint32_t pos;
+    bool prime;  // reads w'.pos instead of w.pos
+  };
+  struct Atom {
+    double constant;
+    uint32_t terms_end;  // terms_[previous atom's end, terms_end)
+    AtomOp op;
+  };
+
+  bool TestDnf(const double* w, const double* w_prime) const;
+
+  Kind kind_ = Kind::kTrue;
+  size_t width_ = 0;
+  std::vector<uint8_t> reads_;  // per position: kNumeric* roles read
+  std::vector<Term> terms_;  // kDnf, in each atom's var-id order
+  std::vector<Atom> atoms_;
+  std::vector<uint32_t> disjuncts_end_;  // atoms_[previous end, end)
+};
+
 /// The compiled instance-oblivious subsumption test p>=(w, w') of
 /// Definition 4 / Section 5.2: Subsumes(w, w') is true only if every
 /// R-tuple joining with binding w' also joins with binding w, on every
@@ -64,9 +130,15 @@ class SubsumptionTest {
   /// lookup is a lossless accelerator for the pruning query Q_C.
   std::vector<size_t> EqualityPositions() const;
 
+  /// The same test compiled for the prune loop (see CompiledSubsumption).
+  const CompiledSubsumption& compiled() const { return compiled_; }
+
  private:
   friend Result<SubsumptionTest> DeriveSubsumption(
       const SubsumptionSpec& spec);
+
+  /// Builds compiled_ from the derived formula.
+  Status Compile();
 
   FormulaPtr formula_;  // over w / w' vars; nullptr means TRUE
   VarPool pool_;
@@ -76,6 +148,7 @@ class SubsumptionTest {
   std::vector<int> w_prime_var_of_position_;
   // Positions that must satisfy w[i] == w'[i] (string-equality residue).
   std::vector<size_t> equal_positions_;
+  CompiledSubsumption compiled_;
 };
 
 /// Derives p>= by the paper's Section 5.2 procedure:

@@ -2,8 +2,11 @@
 
 #include <algorithm>
 #include <chrono>
+#include <cstring>
 #include <memory>
+#include <set>
 #include <unordered_map>
+#include <utility>
 
 #include "src/common/logging.h"
 #include "src/exec/join_pipeline.h"
@@ -174,6 +177,35 @@ Result<std::unique_ptr<NljpOperator>> NljpOperator::Create(
                    &op->left_offset_map_));
   for (size_t off : op->view_.jl_offsets) {
     op->binding_positions_.push_back(op->left_offset_map_.at(off));
+  }
+  // Q_B keeps the binding plus the L columns Q_P reads. Q_R(b) hands Q_P
+  // only the G_R values of an R-side group, so an R-side column the binder
+  // admitted as determined by G_R (rather than listed in it) is refused.
+  op->batch_columns_ = op->binding_positions_;
+  std::vector<const Expr*> qp_refs;
+  for (const ExprPtr& g : block.group_by) CollectColumnRefs(g, &qp_refs);
+  for (const BoundSelectItem& item : block.select) {
+    CollectGroupLevelRefs(item.expr, &qp_refs);
+  }
+  CollectGroupLevelRefs(block.having, &qp_refs);
+  std::set<size_t> qp_offsets;
+  for (const Expr* ref : qp_refs) {
+    qp_offsets.insert(static_cast<size_t>(ref->resolved_index));
+  }
+  const std::vector<size_t>& gr = op->view_.gr_offsets;
+  for (size_t off : qp_offsets) {
+    auto pos = op->left_offset_map_.find(off);
+    if (pos == op->left_offset_map_.end()) {
+      if (std::find(gr.begin(), gr.end(), off) == gr.end()) {
+        return Status::NotSupported("Q_P reads an R-side column outside G_R: " +
+                                    block.QualifiedNameOfOffset(off));
+      }
+      continue;
+    }
+    auto& cols = op->batch_columns_;
+    auto col = std::find(cols.begin(), cols.end(), pos->second);
+    if (col == cols.end()) col = cols.insert(cols.end(), pos->second);
+    op->qp_columns_.emplace_back(off, static_cast<size_t>(col - cols.begin()));
   }
 
   // ---- Q_R(b): parameter table + R-side tables ----
@@ -493,32 +525,66 @@ Result<NljpOperator::CacheEntry> NljpOperator::RunInnerQuery(
   return entry;
 }
 
-Row NljpOperator::BindingOf(const Row& l_row) const {
-  Row b;
-  b.reserve(binding_positions_.size());
-  for (size_t pos : binding_positions_) b.push_back(l_row[pos]);
-  return b;
+void NljpOperator::BindingRow(const BindingBatch& batch, size_t i,
+                              Row* out) const {
+  out->resize(binding_positions_.size());
+  for (size_t c = 0; c < out->size(); ++c) (*out)[c] = batch.columns[c][i];
 }
 
-void NljpOperator::ContributeTo(GroupMap* groups, const Row& l_row,
-                                const CacheEntry& entry,
+NljpBindingProbe NljpOperator::ProbeOf(const BindingBatch& batch, size_t i,
+                                       LoopScratch* scratch) const {
+  NljpBindingProbe probe;
+  bool needs_row = false;
+  auto load = [i](const std::vector<uint8_t>& keys, size_t bytes,
+                  PackedKey* key) {
+    if (bytes > 0) {
+      std::memcpy(key->data.data(), keys.data() + i * bytes, bytes);
+    }
+    key->len = static_cast<uint8_t>(bytes);
+  };
+  if (binding_codec_.usable()) {
+    load(batch.memo_keys, memo_key_bytes(), &scratch->memo_key);
+    probe.memo_key = &scratch->memo_key;
+  } else {
+    needs_row = true;
+  }
+  if (prune_enabled_) {
+    if (eq_codec_.usable()) {
+      load(batch.eq_keys, eq_key_bytes(), &scratch->eq_key);
+      probe.eq_key = &scratch->eq_key;
+    } else {
+      needs_row = true;
+    }
+    probe.decoded = batch.decoded.data() + i * subsumption_->compiled().width();
+    probe.decoded_bits = batch.decoded_bits[i];
+  }
+  if (needs_row) {
+    BindingRow(batch, i, &scratch->binding);
+    probe.binding = &scratch->binding;
+  }
+  return probe;
+}
+
+void NljpOperator::ContributeTo(GroupMap* groups, const BindingBatch& batch,
+                                size_t i, const CacheEntry& entry,
                                 GovernorReservation* group_bytes,
-                                EvalScratch* scratch) const {
-  const QueryBlock& block = *block_;
-  const size_t total_width = block.TotalWidth();
+                                LoopScratch* scratch) const {
+  // The synthetic full-width row for group-key evaluation: every partition
+  // writes the same Q_P-read L columns and G_R offsets, so the scratch row
+  // is overwritten in place.
+  Row& synthetic = scratch->synthetic;
+  synthetic.resize(block_->TotalWidth());
+  for (const auto& [orig, col] : qp_columns_) {
+    synthetic[orig] = batch.columns[col][i];
+  }
   for (const PartitionPayload& payload : entry.partitions) {
-    // Build the synthetic full-width row for group-key evaluation.
-    Row synthetic(total_width, Value::Null());
-    for (const auto& [orig, pos] : left_offset_map_) {
-      synthetic[orig] = l_row[pos];
+    for (size_t g = 0; g < view_.gr_offsets.size(); ++g) {
+      synthetic[view_.gr_offsets[g]] = payload.gr_key[g];
     }
-    for (size_t i = 0; i < view_.gr_offsets.size(); ++i) {
-      synthetic[view_.gr_offsets[i]] = payload.gr_key[i];
-    }
-    Row group_key;
-    group_key.reserve(group_progs_.size());
+    Row& group_key = scratch->group_key;
+    group_key.clear();
     for (const CompiledExpr& p : group_progs_) {
-      group_key.push_back(p.Run(synthetic, scratch));
+      group_key.push_back(p.Run(synthetic, &scratch->eval));
     }
     auto it = groups->find(group_key);
     if (it == groups->end()) {
@@ -537,12 +603,12 @@ void NljpOperator::ContributeTo(GroupMap* groups, const Row& l_row,
           state.accumulators.emplace_back(func);
         }
       }
-      it = groups->emplace(std::move(group_key), std::move(state)).first;
+      it = groups->emplace(group_key, std::move(state)).first;
     }
     GroupState& state = it->second;
     if (algebraic_mode_) {
-      for (size_t i = 0; i < slot_funcs_.size(); ++i) {
-        state.accumulators[i].MergePartial(payload.partials[i]);
+      for (size_t s = 0; s < slot_funcs_.size(); ++s) {
+        state.accumulators[s].MergePartial(payload.partials[s]);
       }
     } else if (!state.has_contribution) {
       // G_L -> A_L guarantees a single contributing binding; duplicate
@@ -646,15 +712,15 @@ Result<TablePtr> NljpOperator::ExecuteImpl(NljpStats* stats) {
   // when execution leaves this scope so later blocks of the same query see
   // an accurate in-use figure.
   GovernorReservation mandatory(governor);
-  ICEBERG_ASSIGN_OR_RETURN(std::vector<Row> l_rows,
+  ICEBERG_ASSIGN_OR_RETURN(BindingBatch batch,
                            RunBindingQuery(stats, &mandatory));
   ICEBERG_ASSIGN_OR_RETURN(GroupMap groups,
-                           RunMainLoop(l_rows, stats, &mandatory));
+                           RunMainLoop(batch, stats, &mandatory));
   // ---- Q_P: final HAVING + projection per LR-group ----
   return FinalizeGroups(groups, governor);
 }
 
-Result<std::vector<Row>> NljpOperator::RunBindingQuery(
+Result<NljpOperator::BindingBatch> NljpOperator::RunBindingQuery(
     NljpStats* stats, GovernorReservation* binding_bytes) {
   // Predicate transfer shrinks the binding stream before memoization or
   // pruning ever sees an L-tuple: bindings whose join keys provably match
@@ -678,31 +744,93 @@ Result<std::vector<Row>> NljpOperator::RunBindingQuery(
     stats->transfer_filter_bytes += ts.filter_bytes;
     stats->transfer_build_ns += ts.build_ns;
   }
-  std::vector<Row> l_rows;
+  // Each L-tuple is narrowed to batch_columns_ and its keys are encoded
+  // here, once; the governor is charged per kChargeRows bindings (its
+  // budget lock is not taken per tuple).
+  BindingBatch batch;
+  batch.columns.resize(batch_columns_.size());
+  const size_t memo_bytes = memo_key_bytes();
+  const size_t eq_bytes = eq_key_bytes();
+  const fme::CompiledSubsumption* p_ge =
+      prune_enabled_ ? &subsumption_->compiled() : nullptr;
+  const size_t width = p_ge != nullptr ? p_ge->width() : 0;
+  // Room for one binding per outer row, up to a cap: a small L never
+  // regrows its columns, a large or filtered one grows as it fills.
+  const size_t expected =
+      std::min<size_t>(binding_pipeline.OuterSize(), kReserveRows);
+  for (std::vector<Value>& column : batch.columns) column.reserve(expected);
+  batch.memo_keys.reserve(expected * memo_bytes);
+  batch.eq_keys.reserve(expected * eq_bytes);
+  batch.decoded.reserve(expected * width);
+  batch.decoded_bits.reserve(p_ge != nullptr ? expected : 0);
+  std::vector<size_t> eq_row_positions;
+  if (eq_bytes > 0) {
+    for (size_t pos : prune_eq_positions_) {
+      eq_row_positions.push_back(binding_positions_[pos]);
+    }
+  }
+  const size_t fixed_bytes = batch_columns_.size() * sizeof(Value) +
+                             memo_bytes + eq_bytes +
+                             width * sizeof(double) + (width > 0 ? 1 : 0);
+  size_t uncharged = 0;
+  PackedKey key;
   ICEBERG_RETURN_NOT_OK(binding_pipeline.Run(
       0, binding_pipeline.OuterSize(),
       [&](const Row& row) {
-        // A failure poisons the governor; the pipeline aborts at its next
-        // per-outer-tuple check.
-        if (governor != nullptr &&
-            !binding_bytes->Reserve(RowBytes(row), "nljp-bindings").ok()) {
-          return;
+        for (size_t c = 0; c < batch_columns_.size(); ++c) {
+          const Value& v = row[batch_columns_[c]];
+          if (v.is_string()) uncharged += v.AsString().size();
+          batch.columns[c].push_back(v);
         }
-        l_rows.push_back(row);
+        if (memo_bytes > 0) {
+          binding_codec_.EncodeAt(row, binding_positions_, &key);
+          batch.memo_keys.insert(batch.memo_keys.end(), key.data.data(),
+                                 key.data.data() + memo_bytes);
+        }
+        if (eq_bytes > 0) {
+          eq_codec_.EncodeAt(row, eq_row_positions, &key);
+          batch.eq_keys.insert(batch.eq_keys.end(), key.data.data(),
+                               key.data.data() + eq_bytes);
+        }
+        if (p_ge != nullptr) {
+          batch.decoded.resize(batch.decoded.size() + width);
+          batch.decoded_bits.push_back(p_ge->Decode(
+              row, binding_positions_,
+              batch.decoded.data() + batch.decoded.size() - width));
+        }
+        uncharged += fixed_bytes;
+        if (++batch.size % kChargeRows == 0 && governor != nullptr) {
+          // A failure poisons the governor; the pipeline aborts at its
+          // next per-outer-tuple check.
+          (void)binding_bytes->Reserve(std::exchange(uncharged, 0),
+                                       "nljp-bindings");
+        }
       },
       nullptr, governor));
-  if (options_.binding_order != BindingOrder::kNatural) {
-    bool asc = options_.binding_order == BindingOrder::kSortedAsc;
-    std::sort(l_rows.begin(), l_rows.end(), [&](const Row& a, const Row& b) {
-      int c = CompareRows(BindingOf(a), BindingOf(b));
-      return asc ? c < 0 : c > 0;
-    });
+  if (governor != nullptr && uncharged > 0) {
+    ICEBERG_RETURN_NOT_OK(binding_bytes->Reserve(uncharged, "nljp-bindings"));
   }
-  return l_rows;
+  if (options_.binding_order != BindingOrder::kNatural) {
+    const bool asc = options_.binding_order == BindingOrder::kSortedAsc;
+    batch.order.resize(batch.size);
+    for (size_t i = 0; i < batch.size; ++i) {
+      batch.order[i] = static_cast<uint32_t>(i);
+    }
+    // Lexicographic over the binding columns, as CompareRows over J_L.
+    std::sort(batch.order.begin(), batch.order.end(),
+              [&](uint32_t a, uint32_t b) {
+                for (size_t c = 0; c < binding_positions_.size(); ++c) {
+                  int cmp = batch.columns[c][a].Compare(batch.columns[c][b]);
+                  if (cmp != 0) return asc ? cmp < 0 : cmp > 0;
+                }
+                return false;
+              });
+  }
+  return batch;
 }
 
 Result<NljpOperator::GroupMap> NljpOperator::RunMainLoop(
-    const std::vector<Row>& l_rows, NljpStats* stats,
+    const BindingBatch& batch, NljpStats* stats,
     GovernorReservation* group_bytes) {
   QueryGovernor* governor = options_.governor.get();
   const int threads = ResolveThreads(options_.num_threads);
@@ -716,7 +844,7 @@ Result<NljpOperator::GroupMap> NljpOperator::RunMainLoop(
     Table* param = nullptr;
     GroupMap groups;
     NljpStats partial;
-    EvalScratch eval;  // compiled-program stack for ContributeTo
+    LoopScratch scratch;
     GovernorReservation group_bytes;
     QueryBlock own_block;  // workers 1..n-1 only
     std::optional<JoinPipeline> own_pipeline;
@@ -766,6 +894,8 @@ Result<NljpOperator::GroupMap> NljpOperator::RunMainLoop(
     cache_opts.eq_positions = prune_eq_positions_;
     cache_opts.binding_codec = binding_codec_;
     cache_opts.eq_codec = eq_codec_;
+    cache_opts.decoded_width =
+        prune_enabled_ ? subsumption_->compiled().width() : 0;
     cache_opts.governor = governor;
     return cache_opts;
   };
@@ -793,26 +923,36 @@ Result<NljpOperator::GroupMap> NljpOperator::RunMainLoop(
   }
 
   // ---- Q_B -> memo -> Q_C -> Q_R(b) -> Q_P, per binding ----
+  // Each binding is a batch position: its keys were encoded by Q_B, a memo
+  // hit borrows the cached entry, and Q_C runs the compiled p>= over
+  // decoded values. Only an inner evaluation materializes the binding.
   const bool monotone = monotonicity_ == Monotonicity::kMonotone;
-  auto run_one = [&](WorkerCtx& ctx, const Row& l_row) -> Status {
+  const fme::CompiledSubsumption* p_ge =
+      prune_enabled_ ? &subsumption_->compiled() : nullptr;
+  auto run_one = [&](WorkerCtx& ctx, size_t i) -> Status {
     if (governor != nullptr) ICEBERG_RETURN_NOT_OK(governor->Check());
     ++ctx.partial.bindings_total;
-    Row binding = BindingOf(l_row);
+    const NljpBindingProbe probe = ProbeOf(batch, i, &ctx.scratch);
     if (memo_enabled_) {
-      CacheEntry hit;
-      if (cache.Lookup(binding, &hit)) {
+      if (NljpCacheEntryPtr hit = cache.Lookup(probe)) {
         ++ctx.partial.memo_hits;
-        ContributeTo(&ctx.groups, l_row, hit, &ctx.group_bytes, &ctx.eval);
+        ContributeTo(&ctx.groups, batch, i, *hit, &ctx.group_bytes,
+                     &ctx.scratch);
         return Status::OK();
       }
     }
-    if (prune_enabled_) {
+    if (p_ge != nullptr) {
+      // Theorem 3: a cached unpromising w' prunes b when p>=(w', b)
+      // (monotone HAVING) or p>=(b, w') (anti-monotone).
       size_t tests = 0;
-      bool pruned = cache.AnyWitness(binding, [&](const Row& witness) {
-        ++tests;
-        return monotone ? subsumption_->Subsumes(witness, binding)
-                        : subsumption_->Subsumes(binding, witness);
-      });
+      const double* b = probe.decoded;
+      const uint8_t b_bits = probe.decoded_bits;
+      bool pruned = cache.AnyWitness(
+          probe, [&](const double* w, uint8_t w_bits) {
+            ++tests;
+            return monotone ? p_ge->Test(w, w_bits, b, b_bits)
+                            : p_ge->Test(b, b_bits, w, w_bits);
+          });
       ctx.partial.prune_tests += tests;
       if (pruned) {
         ++ctx.partial.pruned;
@@ -820,13 +960,18 @@ Result<NljpOperator::GroupMap> NljpOperator::RunMainLoop(
       }
     }
     ++ctx.partial.inner_evaluations;
+    Row binding;
+    BindingRow(batch, i, &binding);
     ICEBERG_ASSIGN_OR_RETURN(
-        CacheEntry entry,
-        RunInnerQuery(*ctx.pipeline, ctx.param, binding, &ctx.partial));
-    ContributeTo(&ctx.groups, l_row, entry, &ctx.group_bytes, &ctx.eval);
+        CacheEntry evaluated,
+        RunInnerQuery(*ctx.pipeline, ctx.param, std::move(binding),
+                      &ctx.partial));
+    auto entry = std::make_shared<const CacheEntry>(std::move(evaluated));
+    ContributeTo(&ctx.groups, batch, i, *entry, &ctx.group_bytes,
+                 &ctx.scratch);
     // Cache the entry when memoization or pruning can use it.
-    if (memo_enabled_ || (prune_enabled_ && entry.unpromising)) {
-      cache.Insert(std::move(entry));
+    if (memo_enabled_ || (prune_enabled_ && entry->unpromising)) {
+      cache.Insert(std::move(entry), probe);
     }
     return Status::OK();
   };
@@ -837,13 +982,14 @@ Result<NljpOperator::GroupMap> NljpOperator::RunMainLoop(
   TraceSpan loop_span("nljp.main_loop", "nljp");
   TaskPool pool(threads);
   const size_t morsel = std::max<size_t>(
-      1, std::min<size_t>(32, l_rows.size() / (threads * 4)));
+      1, std::min<size_t>(32, batch.size / (threads * 4)));
   Status pool_status = pool.RunMorsels(
-      l_rows.size(), morsel,
+      batch.size, morsel,
       [&](int worker, size_t begin, size_t end) -> Status {
         WorkerCtx& ctx = *ctxs[worker];
-        for (size_t i = begin; i < end; ++i) {
-          ICEBERG_RETURN_NOT_OK(run_one(ctx, l_rows[i]));
+        for (size_t k = begin; k < end; ++k) {
+          ICEBERG_RETURN_NOT_OK(
+              run_one(ctx, batch.order.empty() ? k : batch.order[k]));
         }
         return Status::OK();
       });

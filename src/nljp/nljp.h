@@ -6,6 +6,7 @@
 #include <optional>
 #include <string>
 #include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "src/common/status.h"
@@ -59,9 +60,12 @@ struct NljpOptions {
   bool use_indexes = true;
   /// Predicate transfer over the *binding* query Q_B: the transferred
   /// reduction shrinks the L-tuple stream before memoization/pruning ever
-  /// sees a binding. The per-binding inner pipelines always run with
-  /// transfer off — their parameter table mutates on every rebinding, so
-  /// any plan-time selection would stand down immediately.
+  /// sees a binding. Q_R(b) never propagates transfer filters (its
+  /// parameter table mutates on every rebinding, so a cross-relation
+  /// selection would stand down immediately), but it keeps the R-side
+  /// tables' a-priori selections as seeds: a seeds-only result pins just
+  /// the seeded tables, so rebinding leaves it live. This flag does not
+  /// affect those seeds.
   bool predicate_transfer = true;
   /// Apply memoization even when J_L -> A_L makes bindings unique
   /// (normally skipped as non-beneficial; Section 6).
@@ -201,17 +205,68 @@ class NljpOperator {
   using PartitionPayload = NljpPartitionPayload;
   using CacheEntry = NljpCacheEntry;
 
+  /// Q_B charges the governor once per this many bindings.
+  static constexpr size_t kChargeRows = 1024;
+  /// Bindings Q_B reserves room for up front (at most).
+  static constexpr size_t kReserveRows = 4096;
+
   /// One LR-group's accumulation state during Q_P.
   struct GroupState {
-    Row synthetic;  // full-width row with L and G_R columns filled
+    Row synthetic;  // full-width row with the Q_P-read columns filled
     std::vector<Accumulator> accumulators;  // per slot, algebraic mode
     std::vector<Value> finals;              // per slot, non-algebraic mode
     bool has_contribution = false;
   };
   using GroupMap = std::unordered_map<Row, GroupState, RowHash, RowEq>;
 
-  /// Projects the binding (J_L values) out of an L-row.
-  Row BindingOf(const Row& l_row) const;
+  /// Q_B's output, one entry per L-tuple: only the L columns the main loop
+  /// and Q_P read, column by column, and each binding's cache keys,
+  /// encoded once. No per-binding Row is built.
+  struct BindingBatch {
+    size_t size = 0;
+    /// One vector per batch_columns_ entry; columns [0, |J_L|) hold the
+    /// binding.
+    std::vector<std::vector<Value>> columns;
+    /// PackedKey bytes, memo_key_bytes()/eq_key_bytes() per binding (empty
+    /// when the codec is unusable: those keys fall back to Rows).
+    std::vector<uint8_t> memo_keys;
+    std::vector<uint8_t> eq_keys;
+    /// Pruning only: the compiled p>='s decoded values (its width() per
+    /// binding) and Decode bits.
+    std::vector<double> decoded;
+    std::vector<uint8_t> decoded_bits;
+    /// Visit order under a sorted BindingOrder (empty = natural).
+    std::vector<uint32_t> order;
+  };
+
+  /// Per-worker scratch of the main loop, reused across bindings.
+  struct LoopScratch {
+    PackedKey memo_key;
+    PackedKey eq_key;
+    Row binding;    // Row-keyed fallbacks only
+    Row synthetic;  // ContributeTo's full-width row
+    Row group_key;
+    EvalScratch eval;
+  };
+
+  size_t memo_key_bytes() const {
+    return binding_codec_.usable()
+               ? binding_codec_.num_columns() * PackedKey::kBytesPerColumn
+               : 0;
+  }
+  size_t eq_key_bytes() const {
+    return prune_enabled_ && eq_codec_.usable()
+               ? eq_codec_.num_columns() * PackedKey::kBytesPerColumn
+               : 0;
+  }
+
+  /// Copies binding `i` of the batch into `out`.
+  void BindingRow(const BindingBatch& batch, size_t i, Row* out) const;
+
+  /// The cache's view of binding `i`: its encoded keys, loaded into
+  /// `scratch`, and its binding Row only where a key falls back to Rows.
+  NljpBindingProbe ProbeOf(const BindingBatch& batch, size_t i,
+                           LoopScratch* scratch) const;
 
   /// Runs Q_R(binding) through the given pipeline and its parameter table
   /// (each worker owns a private pair, since the parameter row is rebound
@@ -221,31 +276,31 @@ class NljpOperator {
   Result<CacheEntry> RunInnerQuery(const JoinPipeline& pipeline, Table* param,
                                    Row binding, NljpStats* stats) const;
 
-  /// Folds one binding's cached partitions into the LR-group map. Group
+  /// Folds binding `i`'s cached partitions into the LR-group map. Group
   /// creation takes a hard reservation into `group_bytes`; a failed
   /// reservation poisons the governor and the caller aborts at its next
   /// check.
-  void ContributeTo(GroupMap* groups, const Row& l_row,
+  void ContributeTo(GroupMap* groups, const BindingBatch& batch, size_t i,
                     const CacheEntry& entry, GovernorReservation* group_bytes,
-                    EvalScratch* scratch) const;
+                    LoopScratch* scratch) const;
 
   /// Q_P finalization: HAVING + projection per LR-group.
   Result<TablePtr> FinalizeGroups(const GroupMap& groups,
                                   QueryGovernor* governor) const;
 
-  /// Q_B: streams (and optionally sorts) the L-side tuples, charging
-  /// each to `binding_bytes` as mandatory state.
-  Result<std::vector<Row>> RunBindingQuery(NljpStats* stats,
-                                           GovernorReservation* binding_bytes);
+  /// Q_B: streams the L-side tuples into a binding batch (sorted when
+  /// BindingOrder asks), charging it to `binding_bytes` as mandatory
+  /// state once per kChargeRows bindings.
+  Result<BindingBatch> RunBindingQuery(NljpStats* stats,
+                                       GovernorReservation* binding_bytes);
 
   /// The NLJP main loop (memo -> Q_C -> Q_R(b) -> LR-group accumulation)
-  /// over the memo/prune cache C: morsel-driven workers drain `l_rows`,
+  /// over the memo/prune cache C: morsel-driven workers drain `batch`,
   /// publishing memo entries and pruning witnesses through one
   /// SharedNljpCache, and their LR-group maps are merged. The groups'
   /// hard reservations move into `group_bytes`, which must outlive the
   /// returned map.
-  Result<GroupMap> RunMainLoop(const std::vector<Row>& l_rows,
-                               NljpStats* stats,
+  Result<GroupMap> RunMainLoop(const BindingBatch& batch, NljpStats* stats,
                                GovernorReservation* group_bytes);
 
   const QueryBlock* block_ = nullptr;
@@ -262,6 +317,11 @@ class NljpOperator {
   QueryBlock binding_block_;
   std::map<size_t, size_t> left_offset_map_;   // orig offset -> L-row pos
   std::vector<size_t> binding_positions_;      // J_L positions in L row
+  // The L-row positions Q_B keeps: J_L first, then the other L columns Q_P
+  // (GROUP BY, HAVING, select list) reads.
+  std::vector<size_t> batch_columns_;
+  // (flat offset, batch column) of every L column Q_P reads.
+  std::vector<std::pair<size_t, size_t>> qp_columns_;
 
   // Q_R(b): [param table, R tables...] with Theta + R-local filters.
   // The pipeline is planned once (PostgreSQL "prepares these statements in

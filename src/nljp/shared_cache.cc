@@ -34,7 +34,6 @@ SharedNljpCache::SharedNljpCache(Options options)
     witness_stripes_ = std::vector<WitnessStripe>(stripes);
   }
   MetricsRegistry& registry = MetricsRegistry::Global();
-  witness_tests_ = registry.GetCounter("nljp.cache.witness_tests");
   inserts_ = registry.GetCounter("nljp.cache.inserts");
   contention_ = registry.GetCounter("nljp.cache.contention");
 }
@@ -69,47 +68,49 @@ size_t SharedNljpCache::WitnessStripeOf(const Row& eq_key) const {
   return RowHash()(eq_key) & stripe_mask_;
 }
 
-bool SharedNljpCache::Lookup(const Row& binding, NljpCacheEntry* out) {
+NljpCacheEntryPtr SharedNljpCache::Lookup(const NljpBindingProbe& probe) {
+  const bool packed = options_.binding_codec.usable();
   if (options_.scan_lookup) {
     RowEq eq;
     for (MemoStripe& stripe : memo_stripes_) {
       auto lock = LockStripe(stripe.mu);
       for (const Slot& slot : stripe.slots) {
-        if (!slot.live || !eq(slot.entry.binding, binding)) continue;
-        *out = slot.entry;
-        return true;
+        if (slot.live && (packed ? slot.memo_key == *probe.memo_key
+                                 : eq(slot.entry->binding, *probe.binding))) {
+          return slot.entry;
+        }
       }
     }
-    return false;
+    return nullptr;
   }
-  if (options_.binding_codec.usable()) {
-    PackedKey key;
-    options_.binding_codec.EncodeRow(binding, &key);
-    MemoStripe& stripe = memo_stripes_[key.hash() & stripe_mask_];
+  if (packed) {
+    MemoStripe& stripe = memo_stripes_[probe.memo_key->hash() & stripe_mask_];
     auto lock = LockStripe(stripe.mu);
-    auto it = stripe.by_binding_packed.find(key);
-    if (it == stripe.by_binding_packed.end()) return false;
-    *out = stripe.slots[it->second].entry;
-    return true;
+    auto it = stripe.by_binding_packed.find(*probe.memo_key);
+    if (it == stripe.by_binding_packed.end()) return nullptr;
+    return stripe.slots[it->second].entry;
   }
-  MemoStripe& stripe = memo_stripes_[MemoStripeOf(binding)];
+  MemoStripe& stripe = memo_stripes_[MemoStripeOf(*probe.binding)];
   auto lock = LockStripe(stripe.mu);
-  auto it = stripe.by_binding.find(binding);
-  if (it == stripe.by_binding.end()) return false;
-  *out = stripe.slots[it->second].entry;
-  return true;
+  auto it = stripe.by_binding.find(*probe.binding);
+  if (it == stripe.by_binding.end()) return nullptr;
+  return stripe.slots[it->second].entry;
 }
 
 void SharedNljpCache::RemoveWitness(uint64_t witness_id, const Row& binding) {
   if (witness_id == 0 || witness_stripes_.empty()) return;
-  auto scrub = [witness_id](auto& bucket_map, auto bucket_it) {
-    auto& list = bucket_it->second;
-    list.erase(
-        std::remove_if(
-            list.begin(), list.end(),
-            [&](const auto& entry) { return entry.first == witness_id; }),
-        list.end());
-    if (list.empty()) bucket_map.erase(bucket_it);
+  // Erases the witness in place, keeping the bucket's insertion order.
+  const size_t width = options_.decoded_width;
+  auto scrub = [witness_id, width](auto& bucket_map, auto bucket_it) {
+    WitnessBucket& bucket = bucket_it->second;
+    auto id = std::find(bucket.ids.begin(), bucket.ids.end(), witness_id);
+    if (id == bucket.ids.end()) return;
+    size_t j = static_cast<size_t>(id - bucket.ids.begin());
+    bucket.ids.erase(id);
+    bucket.bits.erase(bucket.bits.begin() + j);
+    auto values = bucket.values.begin() + j * width;
+    bucket.values.erase(values, values + width);
+    if (bucket.ids.empty()) bucket_map.erase(bucket_it);
   };
   if (options_.eq_codec.usable()) {
     PackedKey key;
@@ -137,7 +138,7 @@ size_t SharedNljpCache::EvictOneGlobal(size_t start_stripe) {
     MemoStripe& stripe = memo_stripes_[(start_stripe + i) & stripe_mask_];
     size_t freed = 0;
     uint64_t witness_id = 0;
-    Row binding;
+    NljpCacheEntryPtr entry;
     {
       std::lock_guard<std::mutex> lock(stripe.mu);
       if (stripe.fifo.empty()) continue;
@@ -145,22 +146,20 @@ size_t SharedNljpCache::EvictOneGlobal(size_t start_stripe) {
       stripe.fifo.pop_front();
       Slot& slot = stripe.slots[id];
       if (options_.binding_codec.usable()) {
-        PackedKey key;
-        options_.binding_codec.EncodeRow(slot.entry.binding, &key);
-        stripe.by_binding_packed.erase(key);
+        stripe.by_binding_packed.erase(slot.memo_key);
       } else {
-        stripe.by_binding.erase(slot.entry.binding);
+        stripe.by_binding.erase(slot.entry->binding);
       }
       freed = slot.bytes;
       witness_id = slot.witness_id;
-      binding = std::move(slot.entry.binding);
+      entry = std::move(slot.entry);
       slot = Slot();
       stripe.free_slots.push_back(id);
     }
     // Witness removal and byte release happen outside the memo stripe
     // lock; a prune test that still sees the witness in the gap is safe
     // (the witness was a true witness when cached).
-    RemoveWitness(witness_id, binding);
+    RemoveWitness(witness_id, entry->binding);
     live_entries_.fetch_sub(1, std::memory_order_relaxed);
     live_bytes_.fetch_sub(freed, std::memory_order_relaxed);
     if (options_.governor != nullptr) options_.governor->Release(freed);
@@ -169,9 +168,10 @@ size_t SharedNljpCache::EvictOneGlobal(size_t start_stripe) {
   return 0;
 }
 
-void SharedNljpCache::Insert(NljpCacheEntry entry) {
+void SharedNljpCache::Insert(NljpCacheEntryPtr entry,
+                             const NljpBindingProbe& probe) {
   inserts_->Increment();
-  const size_t bytes = NljpCacheEntryBytes(entry);
+  const size_t bytes = NljpCacheEntryBytes(*entry);
   // Advisory reservation, taken with no stripe lock held: under pressure
   // the governor's reclaimer sheds older entries first (possibly ours from
   // a sibling's insert); if the new entry still does not fit, drop it
@@ -183,39 +183,36 @@ void SharedNljpCache::Insert(NljpCacheEntry entry) {
     return;
   }
   uint64_t witness_id = 0;
-  if (options_.witness_index && entry.unpromising) {
+  if (options_.witness_index && entry->unpromising) {
     witness_id = next_witness_id_.fetch_add(1, std::memory_order_relaxed);
+    auto add = [&](WitnessBucket& bucket) {
+      bucket.ids.push_back(witness_id);
+      bucket.bits.push_back(probe.decoded_bits);
+      bucket.values.insert(bucket.values.end(), probe.decoded,
+                           probe.decoded + options_.decoded_width);
+    };
     if (options_.eq_codec.usable()) {
-      PackedKey key;
-      options_.eq_codec.EncodeAt(entry.binding, options_.eq_positions, &key);
-      WitnessStripe& stripe = witness_stripes_[key.hash() & stripe_mask_];
+      WitnessStripe& stripe =
+          witness_stripes_[probe.eq_key->hash() & stripe_mask_];
       auto lock = LockStripe(stripe.mu);
-      stripe.buckets_packed[key].emplace_back(witness_id, entry.binding);
+      add(stripe.buckets_packed[*probe.eq_key]);
     } else {
-      Row eq_key = EqKeyOf(entry.binding);
+      Row eq_key = EqKeyOf(entry->binding);
       WitnessStripe& stripe = witness_stripes_[WitnessStripeOf(eq_key)];
       auto lock = LockStripe(stripe.mu);
-      stripe.buckets[std::move(eq_key)].emplace_back(witness_id,
-                                                     entry.binding);
+      add(stripe.buckets[std::move(eq_key)]);
     }
   }
-  Row binding_copy = entry.binding;  // survives the move below
   const bool packed = options_.binding_codec.usable();
-  PackedKey packed_key;
-  size_t stripe_idx;
-  if (packed) {
-    options_.binding_codec.EncodeRow(entry.binding, &packed_key);
-    stripe_idx = packed_key.hash() & stripe_mask_;
-  } else {
-    stripe_idx = MemoStripeOf(entry.binding);
-  }
+  const size_t stripe_idx = packed ? probe.memo_key->hash() & stripe_mask_
+                                   : MemoStripeOf(entry->binding);
   bool duplicate = false;
   {
     MemoStripe& stripe = memo_stripes_[stripe_idx];
     auto lock = LockStripe(stripe.mu);
     if (options_.memo_index &&
-        (packed ? stripe.by_binding_packed.count(packed_key) > 0
-                : stripe.by_binding.count(entry.binding) > 0)) {
+        (packed ? stripe.by_binding_packed.count(*probe.memo_key) > 0
+                : stripe.by_binding.count(entry->binding) > 0)) {
       // A sibling cached the same binding between our miss and now; keep
       // the first copy (identical contents) and back out ours below,
       // outside the lock.
@@ -230,27 +227,28 @@ void SharedNljpCache::Insert(NljpCacheEntry entry) {
         stripe.slots.emplace_back();
       }
       Slot& slot = stripe.slots[id];
-      slot.entry = std::move(entry);
+      if (packed) slot.memo_key = *probe.memo_key;
+      slot.entry = entry;
       slot.bytes = bytes;
       slot.witness_id = witness_id;
       slot.live = true;
       stripe.fifo.push_back(id);
       if (options_.memo_index) {
         if (packed) {
-          stripe.by_binding_packed.emplace(packed_key, id);
+          stripe.by_binding_packed.emplace(slot.memo_key, id);
         } else {
-          stripe.by_binding.emplace(slot.entry.binding, id);
+          stripe.by_binding.emplace(entry->binding, id);
         }
       }
     }
   }
   if (duplicate) {
-    RemoveWitness(witness_id, binding_copy);
+    RemoveWitness(witness_id, entry->binding);
     if (options_.governor != nullptr) options_.governor->Release(bytes);
     return;
   }
   live_bytes_.fetch_add(bytes, std::memory_order_relaxed);
-  size_t total = live_entries_.fetch_add(1, std::memory_order_relaxed) + 1;
+  live_entries_.fetch_add(1, std::memory_order_relaxed);
   // FIFO bound (paper Section 7 future work), per-stripe eviction with an
   // exact global count: every insert that pushed the total over the bound
   // retires one oldest entry before returning, so at quiescence
@@ -266,7 +264,6 @@ void SharedNljpCache::Insert(NljpCacheEntry entry) {
       break;  // this insert's overage is paid for
     }
   }
-  (void)total;
 }
 
 size_t SharedNljpCache::Shed(size_t bytes_needed) {

@@ -31,11 +31,26 @@ struct NljpPartitionPayload {
 
 /// One memo/prune cache entry: the full Q_R(b) result for a binding, plus
 /// the "unpromising" verdict that makes it a pruning witness
-/// (Definition 5).
+/// (Definition 5). Immutable once cached: memo hits borrow it.
 struct NljpCacheEntry {
   Row binding;
   std::vector<NljpPartitionPayload> partitions;
   bool unpromising = false;
+};
+using NljpCacheEntryPtr = std::shared_ptr<const NljpCacheEntry>;
+
+/// One binding as the cache sees it: the keys the caller encoded once
+/// (NLJP's Q_B does so per binding) and reuses for the memo probe, the
+/// witness probe and the insert. Each PackedKey is set exactly when its
+/// Options codec is usable; otherwise the cache keys by `binding`.
+struct NljpBindingProbe {
+  const Row* binding = nullptr;         // J_L values (Row-keyed paths)
+  const PackedKey* memo_key = nullptr;  // Options::binding_codec's key
+  const PackedKey* eq_key = nullptr;    // Options::eq_codec's key
+  /// p>= values and bits (fme::CompiledSubsumption::Decode); an insert
+  /// stores them with the witness, so prune tests never decode.
+  const double* decoded = nullptr;
+  uint8_t decoded_bits = 0;
 };
 
 /// Byte footprint of one entry, charged against the governor's memory
@@ -90,6 +105,8 @@ class SharedNljpCache {
     /// order, and the exact global entry bound are untouched.
     KeyCodec binding_codec;
     KeyCodec eq_codec;
+    /// Doubles per decoded witness (fme::CompiledSubsumption::width()).
+    size_t decoded_width = 0;
     /// Optional governor: entries are charged as advisory state.
     QueryGovernor* governor = nullptr;
   };
@@ -99,29 +116,29 @@ class SharedNljpCache {
   SharedNljpCache(const SharedNljpCache&) = delete;
   SharedNljpCache& operator=(const SharedNljpCache&) = delete;
 
-  /// Memo lookup. Copies the entry out under the stripe lock (another
-  /// worker may evict the slot immediately after it is released). With
+  /// Memo lookup: the cached entry for the binding, or null. The entry is
+  /// borrowed, not copied; it stays valid for as long as the caller holds
+  /// the pointer, even if another worker evicts its slot meanwhile. With
   /// Options::scan_lookup, scans every stripe's live slots in turn.
-  bool Lookup(const Row& binding, NljpCacheEntry* out);
+  NljpCacheEntryPtr Lookup(const NljpBindingProbe& probe);
 
-  /// Visits the witnesses bucketed with `binding`'s equality key until
-  /// `test` returns true; returns whether any did. `test` runs under the
-  /// witness stripe lock and must not touch the governor or this cache.
-  /// A member template so the subsumption test is invoked directly (the
-  /// per-witness std::function dispatch used to dominate the prune path).
+  /// Visits the witnesses bucketed with the binding's equality key, in
+  /// insertion order, until `test(values, bits)` returns true for one
+  /// witness's decoded p>= values; returns whether any did. `test` runs
+  /// under the witness stripe lock and must not touch the governor or this
+  /// cache. A member template so the subsumption test is invoked directly.
   template <typename TestFn>
-  bool AnyWitness(const Row& binding, TestFn&& test) {
+  bool AnyWitness(const NljpBindingProbe& probe, TestFn&& test) {
     if (witness_stripes_.empty()) return false;
     if (options_.eq_codec.usable()) {
-      PackedKey key;
-      options_.eq_codec.EncodeAt(binding, options_.eq_positions, &key);
-      WitnessStripe& stripe = witness_stripes_[key.hash() & stripe_mask_];
+      WitnessStripe& stripe =
+          witness_stripes_[probe.eq_key->hash() & stripe_mask_];
       auto lock = LockStripe(stripe.mu);
-      auto bucket = stripe.buckets_packed.find(key);
+      auto bucket = stripe.buckets_packed.find(*probe.eq_key);
       if (bucket == stripe.buckets_packed.end()) return false;
       return AnyInBucket(bucket->second, test);
     }
-    Row eq_key = EqKeyOf(binding);
+    Row eq_key = EqKeyOf(*probe.binding);
     WitnessStripe& stripe = witness_stripes_[WitnessStripeOf(eq_key)];
     auto lock = LockStripe(stripe.mu);
     auto bucket = stripe.buckets.find(eq_key);
@@ -129,9 +146,11 @@ class SharedNljpCache {
     return AnyInBucket(bucket->second, test);
   }
 
-  /// Inserts an entry (advisory): under memory pressure the entry may be
-  /// dropped instead (counted as shed).
-  void Insert(NljpCacheEntry entry);
+  /// Inserts an entry (advisory) under the probe's keys; an unpromising
+  /// entry also becomes a witness carrying the probe's decoded values.
+  /// Under memory pressure the entry may be dropped instead (counted as
+  /// shed). `probe.binding` is not read: the entry carries the binding.
+  void Insert(NljpCacheEntryPtr entry, const NljpBindingProbe& probe);
 
   /// Governor reclaimer hook: retires oldest entries (round-robin across
   /// stripes) until at least `bytes_needed` bytes are freed or the cache
@@ -154,7 +173,8 @@ class SharedNljpCache {
 
  private:
   struct Slot {
-    NljpCacheEntry entry;
+    NljpCacheEntryPtr entry;
+    PackedKey memo_key;  // when Options::binding_codec is usable
     size_t bytes = 0;
     uint64_t witness_id = 0;  // 0 = not registered as a witness
     bool live = false;
@@ -169,39 +189,32 @@ class SharedNljpCache {
     std::unordered_map<PackedKey, size_t, PackedKeyHash, PackedKeyEq>
         by_binding_packed;
   };
+  /// One equality key's witnesses in insertion order, stored decoded:
+  /// witness j's p>= values are values[j * decoded_width, +decoded_width).
+  /// They are copies, so witness lifetime is decoupled from the memo slot
+  /// and no cross-stripe locks are ever nested.
+  struct WitnessBucket {
+    std::vector<uint64_t> ids;
+    std::vector<uint8_t> bits;
+    std::vector<double> values;
+  };
   struct WitnessStripe {
     std::mutex mu;
-    // eq-key -> (witness id, binding). The binding is a copy: witness
-    // lifetime is decoupled from the memo slot so no cross-stripe locks
-    // are ever nested. Exactly one bucket map is populated, per
-    // Options::eq_codec.
-    std::unordered_map<Row, std::vector<std::pair<uint64_t, Row>>, RowHash,
-                       RowEq>
-        buckets;
-    std::unordered_map<PackedKey, std::vector<std::pair<uint64_t, Row>>,
-                       PackedKeyHash, PackedKeyEq>
+    // Exactly one bucket map is populated, per Options::eq_codec.
+    std::unordered_map<Row, WitnessBucket, RowHash, RowEq> buckets;
+    std::unordered_map<PackedKey, WitnessBucket, PackedKeyHash, PackedKeyEq>
         buckets_packed;
   };
 
-  /// Runs `test` over one witness bucket until it returns true. The
-  /// nljp.cache.witness_tests counter is one atomic shared by every
-  /// concurrent statement, so it is bumped once per call, not once per
-  /// witness: contended per-witness increments took a measurable share of
-  /// the served workloads' main-loop time.
+  /// Runs `test` over one witness bucket until it returns true.
   template <typename TestFn>
-  bool AnyInBucket(const std::vector<std::pair<uint64_t, Row>>& bucket,
-                   TestFn& test) {
-    size_t tested = 0;
-    bool found = false;
-    for (const auto& [id, witness] : bucket) {
-      ++tested;
-      if (test(witness)) {
-        found = true;
-        break;
-      }
+  bool AnyInBucket(const WitnessBucket& bucket, TestFn& test) const {
+    const double* values = bucket.values.data();
+    for (size_t j = 0; j < bucket.ids.size();
+         ++j, values += options_.decoded_width) {
+      if (test(values, bucket.bits[j])) return true;
     }
-    witness_tests_->Add(tested);
-    return found;
+    return false;
   }
 
   /// Stripe-lock acquisition that counts contention: a failed try_lock
@@ -225,7 +238,6 @@ class SharedNljpCache {
 
   // Registry handles cached at construction (registration takes a mutex;
   // the handles themselves are lock-free on the hot path).
-  Counter* witness_tests_ = nullptr;
   Counter* inserts_ = nullptr;
   Counter* contention_ = nullptr;
 

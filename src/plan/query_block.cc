@@ -258,27 +258,34 @@ Result<QueryBlock> Binder::Bind(const ParsedSelect& select) {
     block.select.push_back(std::move(bound));
   }
 
-  // Validation: if aggregated, non-aggregate select items must be grouping
-  // columns.
+  // Validation: in an aggregated block, every column read outside an
+  // aggregate call -- in any select item or in HAVING -- takes one value
+  // per group only if the GROUP BY columns determine it (it is one of them,
+  // or follows from them under the declared keys/FDs and the WHERE
+  // equalities). Any other column would take whichever row reached the
+  // group first, which varies with the worker schedule.
   bool aggregated = !block.group_by.empty() || block.having != nullptr;
   for (const BoundSelectItem& item : block.select) {
     if (ContainsAggregate(item.expr)) aggregated = true;
   }
   if (aggregated) {
+    AttrSet grouped;
+    for (const ExprPtr& g : block.group_by) {
+      grouped.insert(block.QualifiedNameOfOffset(g->resolved_index));
+    }
+    const AttrSet determined = block.QueryFds().Closure(grouped);
+    std::vector<const Expr*> refs;
     for (const BoundSelectItem& item : block.select) {
-      if (ContainsAggregate(item.expr)) continue;
-      std::vector<const Expr*> refs;
-      CollectColumnRefs(item.expr, &refs);
-      for (const Expr* ref : refs) {
-        bool in_group = false;
-        for (const ExprPtr& g : block.group_by) {
-          if (g->resolved_index == ref->resolved_index) in_group = true;
-        }
-        if (!in_group) {
-          return Status::BindError(
-              "non-aggregated column must appear in GROUP BY: " +
-              ref->ToString());
-        }
+      CollectGroupLevelRefs(item.expr, &refs);
+    }
+    CollectGroupLevelRefs(block.having, &refs);
+    for (const Expr* ref : refs) {
+      if (determined.count(block.QualifiedNameOfOffset(ref->resolved_index)) ==
+          0) {
+        return Status::BindError(
+            "non-aggregated column must appear in GROUP BY or be determined "
+            "by it: " +
+            ref->ToString());
       }
     }
   }

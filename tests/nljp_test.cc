@@ -242,6 +242,39 @@ TEST(NljpWorkCounters, Figure1AtOneThread) {
   }
 }
 
+// A warm statement: the second run of Fig. 1's Q1 through one registry
+// cache answers every binding from memo entries and pruning witnesses the
+// first run left behind. Its work counters pin the warm-cache main loop
+// (memo probe -> Q_C bucket scan) the way Figure1AtOneThread pins the cold
+// one; the registry's entry bound matches the server's default.
+TEST(NljpWorkCounters, WarmRegistryCacheAtOneThread) {
+  std::unique_ptr<Database> db = bench::MakeScoreDb(3000);
+  const std::string sql = bench::Figure1Queries()[0].sql;
+  NljpCacheRegistry registry(/*max_caches=*/8,
+                             /*max_entries_per_cache=*/4096);
+  IcebergOptions options = IcebergOptions::All();
+  options.base_exec.num_threads = 1;
+  options.cache_registry = &registry;
+  options.cache_key = 0x51;
+  IcebergReport cold;
+  Result<TablePtr> first = db->QueryIceberg(sql, options, &cold);
+  ASSERT_TRUE(first.ok()) << first.status().ToString();
+  ASSERT_TRUE(cold.used_nljp);
+  IcebergReport warm;
+  Result<TablePtr> second = db->QueryIceberg(sql, options, &warm);
+  ASSERT_TRUE(second.ok()) << second.status().ToString();
+  ExpectSame(*first, *second, "warm registry run");
+  const NljpStats& s = warm.nljp_stats;
+  EXPECT_EQ("bindings=" + std::to_string(s.bindings_total) +
+                " memo_hits=" + std::to_string(s.memo_hits) +
+                " pruned=" + std::to_string(s.pruned) +
+                " inner_evals=" + std::to_string(s.inner_evaluations) +
+                " prune_tests=" + std::to_string(s.prune_tests),
+            "bindings=3000 memo_hits=128 pruned=2872 inner_evals=0"
+            " prune_tests=3672");
+  EXPECT_EQ(registry.num_caches(), 1u);
+}
+
 TEST(Nljp, BindingOrderDoesNotChangeResults) {
   auto db = MakeObjectDb(300, 50);
   auto base = db->Query(kSkyband);
@@ -408,6 +441,43 @@ TEST(Nljp, MonotonePruneAllowsNonEmptyGr) {
   auto result = (*op)->Execute(nullptr);
   ASSERT_TRUE(result.ok());
   ExpectSame(*base, *result, "monotone prune with G_R");
+}
+
+TEST(Nljp, RsideColumnDeterminedByGrFallsBack) {
+  // R.x is determined by G_R = {R.id} (object's key), so it binds, but
+  // Q_R(b) hands Q_P only G_R's values: NLJP stands down and the baseline
+  // answers. L.x, determined by G_L, stays fine on the NLJP side.
+  auto db = MakeObjectDb(120, 15);
+  const char* r_side =
+      "SELECT L.id, R.id, R.x, COUNT(*) FROM object L, object R "
+      "WHERE L.x <= R.x AND L.y <= R.y GROUP BY L.id, R.id "
+      "HAVING COUNT(*) >= 1";
+  auto block = db->Prepare(r_side);
+  ASSERT_TRUE(block.ok()) << block.status().ToString();
+  TablePartition part;
+  part.left = {0};
+  part.right = {1};
+  auto view = AnalyzeIceberg(*block, part);
+  ASSERT_TRUE(view.ok());
+  auto op = NljpOperator::Create(std::move(*view), NljpOptions());
+  ASSERT_FALSE(op.ok());
+  EXPECT_EQ(op.status().code(), StatusCode::kNotSupported);
+  auto base = db->Query(r_side);
+  ASSERT_TRUE(base.ok());
+  auto smart = db->QueryIceberg(r_side);
+  ASSERT_TRUE(smart.ok()) << smart.status().ToString();
+  ExpectSame(*base, *smart, "R-side determined column");
+
+  const char* l_side =
+      "SELECT L.id, L.y, L.x + COUNT(*) FROM object L, object R "
+      "WHERE L.x <= R.x AND L.y <= R.y GROUP BY L.id HAVING COUNT(*) <= 15";
+  base = db->Query(l_side);
+  ASSERT_TRUE(base.ok()) << base.status().ToString();
+  IcebergReport report;
+  smart = db->QueryIceberg(l_side, IcebergOptions::All(), &report);
+  ASSERT_TRUE(smart.ok()) << smart.status().ToString();
+  EXPECT_TRUE(report.used_nljp);
+  ExpectSame(*base, *smart, "L-side determined column");
 }
 
 TEST(Nljp, GroupByRsideOnlyAggregates) {

@@ -309,6 +309,9 @@ class AggregationDifferentialTest : public ::testing::Test {
                                               {"v", DataType::kInt64},
                                               {"d", DataType::kDouble}}))
                     .ok());
+    // fd is a function of g, and declared so: the binder admits a column
+    // outside GROUP BY only when the grouping columns determine it.
+    ASSERT_TRUE(db_->DeclareFd("t", {"g"}, {"fd"}).ok());
     for (int64_t i = 0; i < 12000; ++i) {
       const int64_t g = i % 700;
       ASSERT_TRUE(
@@ -333,7 +336,8 @@ Database* AggregationDifferentialTest::db_ = nullptr;
 TEST_F(AggregationDifferentialTest, MatchesReferenceInOrderAtEveryThreadCount) {
   const std::vector<std::string> queries = {
       // Packed keys, every aggregate, and a non-key column determined by
-      // g (the binder admits it beside an aggregate and in HAVING).
+      // g (declared, so the binder admits it beside an aggregate and in
+      // HAVING).
       "SELECT g, h, fd * 1000 + COUNT(*), COUNT(v), COUNT(DISTINCT v), "
       "SUM(v), SUM(d), AVG(v), AVG(d), MIN(v), MAX(d), MIN(s), MAX(s) "
       "FROM t GROUP BY g, h HAVING fd < 4000",

@@ -86,6 +86,38 @@ TEST_F(PlanTest, NonGroupedColumnInSelectFails) {
   EXPECT_FALSE(block.ok());
 }
 
+// A column read outside an aggregate call must be one value per group:
+// a GROUP BY column or one the GROUP BY columns determine. That holds in
+// every select item, aggregated or not, and in HAVING.
+TEST_F(PlanTest, UngroupedColumnBesideAggregateFails) {
+  auto block =
+      Bind("SELECT bid, item * 1000 + COUNT(*) FROM basket GROUP BY bid");
+  ASSERT_FALSE(block.ok());
+  EXPECT_EQ(block.status().code(), StatusCode::kBindError);
+}
+
+TEST_F(PlanTest, UngroupedColumnInHavingFails) {
+  auto block = Bind(
+      "SELECT bid, COUNT(*) FROM basket GROUP BY bid HAVING item < 4000");
+  ASSERT_FALSE(block.ok());
+  EXPECT_EQ(block.status().code(), StatusCode::kBindError);
+}
+
+TEST_F(PlanTest, DeterminedColumnOutsideGroupByBinds) {
+  // score's key (pid, year) determines hits and team.
+  auto block = Bind(
+      "SELECT pid, year, hits, hits * 1000 + COUNT(*) FROM score "
+      "GROUP BY pid, year HAVING team <> 'x'");
+  EXPECT_TRUE(block.ok()) << block.status().ToString();
+  // One key column alone does not.
+  EXPECT_FALSE(Bind("SELECT pid, hits FROM score GROUP BY pid").ok());
+  // A WHERE equality carries the key across a join.
+  block = Bind(
+      "SELECT s1.pid, s1.year, s2.hits, COUNT(*) FROM score s1, score s2 "
+      "WHERE s1.pid = s2.pid AND s1.year = s2.year GROUP BY s1.pid, s1.year");
+  EXPECT_TRUE(block.ok()) << block.status().ToString();
+}
+
 TEST_F(PlanTest, OutputSchemaTypesAndNames) {
   auto block = Bind(
       "SELECT pid, AVG(hits) AS avg_hits, COUNT(*) FROM score GROUP BY pid");

@@ -5,6 +5,8 @@
 #include <gtest/gtest.h>
 
 #include <functional>
+#include <random>
+#include <string>
 #include <vector>
 
 #include "src/common/string_util.h"
@@ -242,6 +244,101 @@ TEST(Subsumption, ArithmeticInTheta) {
   SubsumptionSpec spec =
       MakeSpec({"x", "y"}, {"x"}, "l.x + l.y < r.x");
   CheckAgainstGroundTruth(spec, 3, 8);
+}
+
+// ---------------------------------------------------------------------------
+// The compiled p>= (CompiledSubsumption) against Subsumes
+// ---------------------------------------------------------------------------
+
+/// NLJP's witness buckets: bindings meet only when they agree (RowEq, the
+/// residue's own Compare) on every equality position.
+bool SameBucket(const SubsumptionTest& test, const Row& a, const Row& b) {
+  for (size_t pos : test.EqualityPositions()) {
+    if (a[pos].Compare(b[pos]) != 0) return false;
+  }
+  return true;
+}
+
+/// A random binding value: mostly small ints and halves (integral doubles
+/// included, so 1 meets 1.0), with NULLs and strings mixed in. String
+/// positions draw mostly strings.
+Value RandomValue(std::mt19937_64* rng, DataType type) {
+  std::uniform_int_distribution<int> pick(0, 9);
+  std::uniform_int_distribution<int> small(-3, 3);
+  int p = pick(*rng);
+  if (p == 0) return Value::Null();
+  if (type == DataType::kString ? p <= 6 : p == 1) {
+    return Value::Str(small(*rng) < 0 ? "hits" : "sb");
+  }
+  if (p <= 5) return Value::Int(small(*rng));
+  return Value::Double(small(*rng) * 0.5 + (p == 9 ? 0.25 : 0.0));
+}
+
+void CheckCompiledAgainstSubsumes(const SubsumptionSpec& spec,
+                                  uint64_t seed) {
+  Result<SubsumptionTest> test = DeriveSubsumption(spec);
+  ASSERT_TRUE(test.ok()) << test.status().ToString();
+  const fme::CompiledSubsumption& compiled = test->compiled();
+  const size_t width = spec.binding_offsets.size();
+  ASSERT_EQ(compiled.width(), width);
+  std::vector<size_t> identity(width);
+  for (size_t i = 0; i < width; ++i) identity[i] = i;
+  std::mt19937_64 rng(seed);
+  std::vector<double> dw(width), dwp(width);
+  size_t subsumed = 0;
+  for (int pair = 0; pair < 10000; ++pair) {
+    Row w, wp;
+    for (size_t i = 0; i < width; ++i) {
+      DataType type = spec.types_by_offset[spec.binding_offsets[i]];
+      w.push_back(RandomValue(&rng, type));
+      wp.push_back(RandomValue(&rng, type));
+    }
+    uint8_t bw = compiled.Decode(w, identity, dw.data());
+    uint8_t bwp = compiled.Decode(wp, identity, dwp.data());
+    bool bucket = SameBucket(*test, w, wp);
+    for (bool swap : {false, true}) {
+      const Row& a = swap ? wp : w;
+      const Row& b = swap ? w : wp;
+      bool expected = test->Subsumes(a, b);
+      bool actual = bucket && (swap ? compiled.Test(dwp.data(), bwp,
+                                                    dw.data(), bw)
+                                    : compiled.Test(dw.data(), bw,
+                                                    dwp.data(), bwp));
+      ASSERT_EQ(actual, expected)
+          << "w=" << RowToString(a) << " w'=" << RowToString(b)
+          << " p>=: " << test->ToString();
+      subsumed += expected ? 1 : 0;
+    }
+  }
+  // Both outcomes occur, so the comparison covers each branch.
+  EXPECT_GT(subsumed, 0u) << test->ToString();
+  EXPECT_LT(subsumed, 20000u) << test->ToString();
+}
+
+TEST(CompiledSubsumption, MatchesSubsumesOnEveryDerivedShape) {
+  const std::vector<DataType> strings = {DataType::kString, DataType::kInt64,
+                                         DataType::kString, DataType::kInt64};
+  const SubsumptionSpec specs[] = {
+      MakeSpec({"x", "y"}, {"x", "y"}, "l.x < r.x AND l.y < r.y"),
+      MakeSpec({"x", "y"}, {"x", "y"},
+               "l.x <= r.x AND l.y <= r.y AND (l.x < r.x OR l.y < r.y)"),
+      MakeSpec({"a", "b", "c", "d"}, {"a", "b", "c", "d"},
+               "r.a >= l.a AND r.b >= l.b AND r.c >= l.c AND r.d >= l.d AND "
+               "(r.a > l.a OR r.b > l.b OR r.c > l.c OR r.d > l.d)"),
+      MakeSpec({"x", "y"}, {"x", "y"}, "l.x <= r.x AND l.y >= r.y"),
+      MakeSpec({"x"}, {"x"}, "l.x - r.x <= 2 AND r.x - l.x <= 2"),
+      MakeSpec({"x"}, {"x"}, "2 * l.x < r.x"),
+      MakeSpec({"x", "y"}, {"x"}, "l.x + l.y < r.x"),
+      MakeSpec({"attr", "val"}, {"attr", "val"},
+               "r.attr = l.attr AND r.val > l.val", strings),
+      MakeSpec({"c", "v"}, {"c", "v"}, "l.c = r.c AND r.v > l.v"),
+      MakeSpec({"k"}, {"k"}, "l.k = r.k"),
+  };
+  uint64_t seed = 1;
+  for (const SubsumptionSpec& spec : specs) {
+    SCOPED_TRACE("spec " + std::to_string(seed));
+    CheckCompiledAgainstSubsumes(spec, seed++);
+  }
 }
 
 }  // namespace
