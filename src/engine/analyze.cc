@@ -112,6 +112,10 @@ std::string RenderAnalyzeIceberg(const IcebergReport& report,
     out += "  -> NLJP  (actual time=" + Ms(report.timing.execute_us) +
            ", bindings=" + std::to_string(n.bindings_total) + ")\n";
     AppendIndented(&out, report.nljp_explain, "       ");
+    if (n.answer_replays > 0) {
+      out += "     answer: replayed from the registry cache (replays=" +
+             std::to_string(n.answer_replays) + ")\n";
+    }
     out += "     memo: hits=" + std::to_string(n.memo_hits) + " (" +
            Pct(n.memo_hits, n.bindings_total) + " of bindings)\n";
     out += "     prune: skipped=" + std::to_string(n.pruned) + " (" +

@@ -23,6 +23,7 @@ void NljpStats::Accumulate(const NljpStats& run) {
   pruned += run.pruned;
   inner_evaluations += run.inner_evaluations;
   prune_tests += run.prune_tests;
+  answer_replays += run.answer_replays;
   inner_pairs_examined += run.inner_pairs_examined;
   inner_chunks_skipped += run.inner_chunks_skipped;
   inner_batch_rows += run.inner_batch_rows;
@@ -53,6 +54,9 @@ std::string NljpStats::ToString() const {
                     " prune_tests=" + std::to_string(prune_tests) +
                     " cache_entries=" + std::to_string(cache_entries) +
                     " cache_kb=" + std::to_string(cache_bytes / 1024);
+  if (answer_replays > 0) {
+    out += " answer_replays=" + std::to_string(answer_replays);
+  }
   if (inner_batch_rows > 0 || inner_chunks_skipped > 0) {
     out += " inner_batch_rows=" + std::to_string(inner_batch_rows) +
            " inner_chunks_skipped=" + std::to_string(inner_chunks_skipped);
@@ -388,6 +392,18 @@ Result<std::unique_ptr<NljpOperator>> NljpOperator::Create(
     }
   }
   op->gr_codec_ = CodecForExprs(op->inner_gr_exprs_, inner_types);
+
+  op->explain_ = op->RenderExplain();
+  // The caller's key names the statement and catalog version, and every
+  // NLJP block of the statement receives it. Each block's operator has its
+  // own codecs, payload layout and answer, so the key is refined by what
+  // identifies this operator: its plan text.
+  uint64_t& key = op->options_.cache_key;
+  if (key != 0) {
+    key ^= std::hash<std::string>()(op->explain_) + 0x9e3779b97f4a7c15ull +
+           (key << 6) + (key >> 2);
+    if (key == 0) key = 1;
+  }
   return op;
 }
 
@@ -671,6 +687,7 @@ void PublishNljpMetrics(const NljpStats& run) {
   ICEBERG_COUNTER("nljp.pruned")->Add(run.pruned);
   ICEBERG_COUNTER("nljp.inner_evaluations")->Add(run.inner_evaluations);
   ICEBERG_COUNTER("nljp.prune_tests")->Add(run.prune_tests);
+  ICEBERG_COUNTER("nljp.answer_replays")->Add(run.answer_replays);
   ICEBERG_COUNTER("nljp.inner_pairs_examined")->Add(run.inner_pairs_examined);
   ICEBERG_COUNTER("nljp.inner_chunks_skipped")->Add(run.inner_chunks_skipped);
   ICEBERG_COUNTER("nljp.inner_batch_rows")->Add(run.inner_batch_rows);
@@ -704,9 +721,58 @@ Result<TablePtr> NljpOperator::Execute(NljpStats* stats) {
   return result;
 }
 
+SharedNljpCache::Options NljpOperator::CacheOptions(int threads,
+                                                    bool cross_query) const {
+  SharedNljpCache::Options cache_opts;
+  // One stripe at one thread: the FIFO is then one global oldest-first
+  // order, so a one-thread run is deterministic. Registry caches are
+  // shared by concurrent statements and stay striped at any width.
+  cache_opts.stripes =
+      threads == 1 && !cross_query
+          ? 1
+          : std::max<size_t>(8, static_cast<size_t>(threads) * 4);
+  cache_opts.max_entries = options_.max_cache_entries;
+  cache_opts.memo_index = memo_enabled_;
+  cache_opts.scan_lookup = !options_.cache_index;
+  cache_opts.witness_index = prune_enabled_;
+  cache_opts.eq_positions = prune_eq_positions_;
+  cache_opts.binding_codec = binding_codec_;
+  cache_opts.eq_codec = eq_codec_;
+  cache_opts.decoded_width =
+      prune_enabled_ ? subsumption_->compiled().width() : 0;
+  cache_opts.governor = options_.governor.get();
+  return cache_opts;
+}
+
 Result<TablePtr> NljpOperator::ExecuteImpl(NljpStats* stats) {
   QueryGovernor* governor = options_.governor.get();
   if (governor != nullptr) ICEBERG_RETURN_NOT_OK(governor->Check());
+  const int threads = ResolveThreads(options_.num_threads);
+
+  // ---- The memo/prune cache C ----
+  // Per-query by default (charged to the governor as advisory state,
+  // reclaimer-shed under pressure), or fetched once from the cross-query
+  // registry so repeated statements reuse memo entries and pruning
+  // witnesses across sessions. Registry caches are entry-bounded, never
+  // governor-charged, and invalidate lazily — a table mutation rotates the
+  // key, so a stale cache is simply never fetched again.
+  const bool cross_query =
+      options_.cache_registry != nullptr && options_.cache_key != 0;
+  SharedNljpCachePtr cache;
+  if (cross_query) {
+    cache = options_.cache_registry->GetOrCreate(
+        options_.cache_key, [&] { return CacheOptions(threads, true); });
+    // A recorded answer is this statement's exact output: Q_B, the loop
+    // and Q_P are skipped.
+    if (NljpAnswerPtr answer = cache->answer()) {
+      ++stats->answer_replays;
+      stats->cache_entries += cache->live_entries();
+      stats->cache_bytes += cache->live_bytes();
+      auto result = std::make_shared<Table>(block_->output_schema);
+      for (const Row& row : *answer) result->AppendUnchecked(row);
+      return result;
+    }
+  }
 
   // Hard reservations for transient state (bindings, LR-groups); released
   // when execution leaves this scope so later blocks of the same query see
@@ -714,10 +780,22 @@ Result<TablePtr> NljpOperator::ExecuteImpl(NljpStats* stats) {
   GovernorReservation mandatory(governor);
   ICEBERG_ASSIGN_OR_RETURN(BindingBatch batch,
                            RunBindingQuery(stats, &mandatory));
-  ICEBERG_ASSIGN_OR_RETURN(GroupMap groups,
-                           RunMainLoop(batch, stats, &mandatory));
+  if (!cross_query) {
+    cache = std::make_shared<SharedNljpCache>(CacheOptions(threads, false));
+  }
+  ICEBERG_ASSIGN_OR_RETURN(
+      GroupMap groups,
+      RunMainLoop(batch, *cache, cross_query, threads, stats, &mandatory));
   // ---- Q_P: final HAVING + projection per LR-group ----
-  return FinalizeGroups(groups, governor);
+  ICEBERG_ASSIGN_OR_RETURN(TablePtr result, FinalizeGroups(groups, governor));
+  // Second-use admission: a run that evaluated no inner query answered
+  // every binding from exact memo entries and witnesses, so its output is
+  // exact. A statement's first run fills the cache and its second records
+  // the answer; a one-shot statement never stores one.
+  if (cross_query && stats->inner_evaluations == 0) {
+    cache->RecordAnswer(result->rows());
+  }
+  return result;
 }
 
 Result<NljpOperator::BindingBatch> NljpOperator::RunBindingQuery(
@@ -830,10 +908,9 @@ Result<NljpOperator::BindingBatch> NljpOperator::RunBindingQuery(
 }
 
 Result<NljpOperator::GroupMap> NljpOperator::RunMainLoop(
-    const BindingBatch& batch, NljpStats* stats,
-    GovernorReservation* group_bytes) {
+    const BindingBatch& batch, SharedNljpCache& cache, bool cross_query,
+    int threads, NljpStats* stats, GovernorReservation* group_bytes) {
   QueryGovernor* governor = options_.governor.get();
-  const int threads = ResolveThreads(options_.num_threads);
 
   // Per-worker state. Q_R's parameter row is rebound per binding, so each
   // worker runs its own Q_R(b): worker 0 the operator's (planned in
@@ -868,42 +945,6 @@ Result<NljpOperator::GroupMap> NljpOperator::RunMainLoop(
     }
     ctxs.push_back(std::move(ctx));
   }
-
-  // ---- The memo/prune cache C ----
-  // Per-query by default (charged to the governor as advisory state,
-  // reclaimer-shed under pressure), or fetched from the cross-query
-  // registry so repeated statements reuse memo entries and pruning
-  // witnesses across sessions. Registry caches are entry-bounded, never
-  // governor-charged, and invalidate lazily — a table mutation rotates the
-  // key, so a stale cache is simply never fetched again.
-  const bool cross_query =
-      options_.cache_registry != nullptr && options_.cache_key != 0;
-  auto build_cache_opts = [&]() {
-    SharedNljpCache::Options cache_opts;
-    // One stripe at one thread: the FIFO is then one global oldest-first
-    // order, so a one-thread run is deterministic. Registry caches are
-    // shared by concurrent statements and stay striped at any width.
-    cache_opts.stripes =
-        threads == 1 && !cross_query
-            ? 1
-            : std::max<size_t>(8, static_cast<size_t>(threads) * 4);
-    cache_opts.max_entries = options_.max_cache_entries;
-    cache_opts.memo_index = memo_enabled_;
-    cache_opts.scan_lookup = !options_.cache_index;
-    cache_opts.witness_index = prune_enabled_;
-    cache_opts.eq_positions = prune_eq_positions_;
-    cache_opts.binding_codec = binding_codec_;
-    cache_opts.eq_codec = eq_codec_;
-    cache_opts.decoded_width =
-        prune_enabled_ ? subsumption_->compiled().width() : 0;
-    cache_opts.governor = governor;
-    return cache_opts;
-  };
-  SharedNljpCachePtr cache_holder =
-      cross_query ? options_.cache_registry->GetOrCreate(options_.cache_key,
-                                                         build_cache_opts)
-                  : std::make_shared<SharedNljpCache>(build_cache_opts());
-  SharedNljpCache& cache = *cache_holder;
 
   // Under memory pressure, hard reservations (bindings, groups, the
   // baseline aggregator) shed cache entries before the query is failed.
@@ -1050,7 +1091,7 @@ Result<NljpOperator::GroupMap> NljpOperator::RunMainLoop(
   return merged;
 }
 
-std::string NljpOperator::Explain() const {
+std::string NljpOperator::RenderExplain() const {
   std::string out = "NLJP operator\n";
   out += "  Q_B (binding query): " + binding_block_.ToString() + "\n";
   out += "  binding = J_L = (";

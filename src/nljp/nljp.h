@@ -99,7 +99,9 @@ struct NljpOptions {
   /// iceberg queries from any session reuse memo entries and pruning
   /// witnesses. Registry caches are entry-bounded, striped at any thread
   /// count, and never governor-charged (they outlive the query's
-  /// governor).
+  /// governor). Create refines the key with a hash of the operator's own
+  /// Explain() text, so each NLJP block of a statement (WITH bodies,
+  /// FROM-subqueries, the outer block) gets its own cache.
   NljpCacheRegistry* cache_registry = nullptr;
   uint64_t cache_key = 0;
   /// Plan-cache replay: inject previously derived artifacts instead of
@@ -113,6 +115,7 @@ struct NljpStats {
   size_t pruned = 0;           // bindings skipped via Q_C
   size_t inner_evaluations = 0;  // Q_R(b) executions
   size_t prune_tests = 0;        // subsumption comparisons
+  size_t answer_replays = 0;     // runs answered by a recorded answer
   size_t inner_pairs_examined = 0;
   // Vectorized-scan counters of the inner Q_R(b) pipelines (zero when the
   // row-at-a-time path ran). Chunk skips here are dynamic: a chunk is
@@ -180,8 +183,8 @@ class NljpOperator {
   Result<TablePtr> Execute(NljpStats* stats = nullptr);
 
   /// Renders the component queries Q_B, Q_R(b), Q_C(b'), Q_P in the style
-  /// of the paper's Listing 7.
-  std::string Explain() const;
+  /// of the paper's Listing 7. Rendered once, by Create.
+  const std::string& Explain() const { return explain_; }
 
   bool memo_enabled() const { return memo_enabled_; }
   bool prune_enabled() const { return prune_enabled_; }
@@ -197,9 +200,16 @@ class NljpOperator {
  private:
   NljpOperator() = default;
 
-  /// Body of Execute: Q_B, the main loop, then Q_P. `stats` is always the
+  /// Body of Execute: Q_B, the main loop, then Q_P; or, when the registry
+  /// cache holds a recorded answer, a copy of it. `stats` is always the
   /// caller's run-local block.
   Result<TablePtr> ExecuteImpl(NljpStats* stats);
+
+  /// The memo/prune cache's shape for a run at `threads` workers.
+  SharedNljpCache::Options CacheOptions(int threads, bool cross_query) const;
+
+  /// Explain()'s text, from the operator's finished state.
+  std::string RenderExplain() const;
 
   // Cache payload types of SharedNljpCache.
   using PartitionPayload = NljpPartitionPayload;
@@ -295,12 +305,15 @@ class NljpOperator {
                                        GovernorReservation* binding_bytes);
 
   /// The NLJP main loop (memo -> Q_C -> Q_R(b) -> LR-group accumulation)
-  /// over the memo/prune cache C: morsel-driven workers drain `batch`,
-  /// publishing memo entries and pruning witnesses through one
-  /// SharedNljpCache, and their LR-group maps are merged. The groups'
-  /// hard reservations move into `group_bytes`, which must outlive the
-  /// returned map.
-  Result<GroupMap> RunMainLoop(const BindingBatch& batch, NljpStats* stats,
+  /// over the memo/prune cache C: `threads` morsel-driven workers drain
+  /// `batch`, publishing memo entries and pruning witnesses through
+  /// `cache`, and their LR-group maps are merged. A per-query cache
+  /// (`cross_query` false) is wired as the governor's reclaimer. The
+  /// groups' hard reservations move into `group_bytes`, which must outlive
+  /// the returned map.
+  Result<GroupMap> RunMainLoop(const BindingBatch& batch,
+                               SharedNljpCache& cache, bool cross_query,
+                               int threads, NljpStats* stats,
                                GovernorReservation* group_bytes);
 
   const QueryBlock* block_ = nullptr;
@@ -360,6 +373,8 @@ class NljpOperator {
 
   // Q_C: derived subsumption predicate.
   std::optional<fme::SubsumptionTest> subsumption_;
+
+  std::string explain_;  // RenderExplain(), set at the end of Create
 };
 
 }  // namespace iceberg

@@ -267,6 +267,10 @@ void SharedNljpCache::Insert(NljpCacheEntryPtr entry,
 }
 
 size_t SharedNljpCache::Shed(size_t bytes_needed) {
+  {
+    std::lock_guard<std::mutex> lock(answer_mu_);
+    answer_.reset();
+  }
   size_t freed = 0;
   size_t count = 0;
   while (freed < bytes_needed) {
@@ -281,6 +285,19 @@ size_t SharedNljpCache::Shed(size_t bytes_needed) {
     if (options_.governor != nullptr) options_.governor->AddCacheShed(count);
   }
   return freed;
+}
+
+NljpAnswerPtr SharedNljpCache::answer() const {
+  std::lock_guard<std::mutex> lock(answer_mu_);
+  return answer_;
+}
+
+void SharedNljpCache::RecordAnswer(const std::vector<Row>& rows) {
+  if (options_.max_entries > 0 && rows.size() > options_.max_entries) return;
+  std::lock_guard<std::mutex> lock(answer_mu_);
+  if (answer_ == nullptr) {
+    answer_ = std::make_shared<const std::vector<Row>>(rows);
+  }
 }
 
 SharedNljpCachePtr NljpCacheRegistry::GetOrCreate(

@@ -39,6 +39,11 @@ struct NljpCacheEntry {
 };
 using NljpCacheEntryPtr = std::shared_ptr<const NljpCacheEntry>;
 
+/// A statement's whole NLJP output, kept by a registry cache once a run
+/// answered every binding from the cache (see SharedNljpCache::answer).
+/// Shared immutably: each replay copies the rows into a fresh Table.
+using NljpAnswerPtr = std::shared_ptr<const std::vector<Row>>;
+
 /// One binding as the cache sees it: the keys the caller encoded once
 /// (NLJP's Q_B does so per binding) and reuses for the memo probe, the
 /// witness probe and the insert. Each PackedKey is set exactly when its
@@ -154,8 +159,20 @@ class SharedNljpCache {
 
   /// Governor reclaimer hook: retires oldest entries (round-robin across
   /// stripes) until at least `bytes_needed` bytes are freed or the cache
-  /// is empty; returns the bytes actually freed.
+  /// is empty; returns the bytes actually freed. Also drops the answer.
   size_t Shed(size_t bytes_needed);
+
+  /// The operator's recorded output, or null. Memo entries are exact
+  /// (Section 6) and pruning is exact (Theorem 3), so a run that answered
+  /// every binding from this cache computed the statement's exact answer
+  /// for the key's statement and catalog version; replaying it skips Q_B
+  /// and the binding loop.
+  NljpAnswerPtr answer() const;
+
+  /// Records `rows` as the answer unless one is already recorded (the
+  /// first writer wins) or it has more rows than Options::max_entries
+  /// (when bounded). The caller vouches that the rows are exact.
+  void RecordAnswer(const std::vector<Row>& rows);
 
   // ---- Exact end-of-query counters ----
   size_t live_entries() const {
@@ -241,6 +258,9 @@ class SharedNljpCache {
   Counter* inserts_ = nullptr;
   Counter* contention_ = nullptr;
 
+  mutable std::mutex answer_mu_;
+  NljpAnswerPtr answer_;
+
   std::atomic<uint64_t> next_witness_id_{1};
   std::atomic<size_t> next_evict_stripe_{0};
   std::atomic<size_t> live_entries_{0};
@@ -266,7 +286,9 @@ using SharedNljpCachePtr = std::shared_ptr<SharedNljpCache>;
 /// Cross-query caches are never charged to a per-query governor (the
 /// governor is single-use and dies with its query); they are bounded by
 /// entry count instead, and the chaos harness can force storms via
-/// ShedAll().
+/// ShedAll(). A cache's recorded answer (SharedNljpCache::answer) obeys
+/// the same entry bound and goes with the cache: ShedAll() drops it, and
+/// so does evicting the cache.
 class NljpCacheRegistry {
  public:
   /// `max_caches` bounds distinct (statement, catalog-version) cache
@@ -284,9 +306,9 @@ class NljpCacheRegistry {
   SharedNljpCachePtr GetOrCreate(
       uint64_t key, const std::function<SharedNljpCache::Options()>& make);
 
-  /// Sheds every entry of every registered cache (chaos storm / memory
-  /// pressure). Returns total bytes freed. Always safe: the caches are
-  /// advisory.
+  /// Sheds every entry and answer of every registered cache (chaos storm /
+  /// memory pressure). Returns total bytes freed. Always safe: the caches
+  /// are advisory.
   size_t ShedAll();
 
   /// Drops all registered caches (in-flight holders keep theirs alive).

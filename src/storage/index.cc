@@ -1,5 +1,10 @@
 #include "src/storage/index.h"
 
+#include <algorithm>
+#include <numeric>
+
+#include "src/common/logging.h"
+
 namespace iceberg {
 
 namespace {
@@ -13,80 +18,93 @@ size_t RowFootprint(const Row& row) {
   return bytes;
 }
 
-/// Rough per-node bookkeeping overhead of the standard containers
-/// (rb-tree node pointers/color, or hash-node next pointer + cached hash).
-constexpr size_t kTreeNodeOverhead = 40;
+/// Rough per-node bookkeeping overhead of a hash node (next pointer +
+/// cached hash).
 constexpr size_t kHashNodeOverhead = 16;
 
 }  // namespace
 
-Row OrderedIndex::ExtractKey(const Row& row) const {
-  Row key;
-  key.reserve(key_columns_.size());
-  for (size_t c : key_columns_) key.push_back(row[c]);
-  return key;
+int OrderedIndex::CompareKeys(const Row& a, const Row& b) const {
+  for (size_t c : key_columns_) {
+    int cmp = a[c].Compare(b[c]);
+    if (cmp != 0) return cmp;
+  }
+  return 0;
+}
+
+int OrderedIndex::CompareKey(const Row& row, const Row& probe) const {
+  const size_t n = std::min(key_columns_.size(), probe.size());
+  for (size_t i = 0; i < n; ++i) {
+    int cmp = row[key_columns_[i]].Compare(probe[i]);
+    if (cmp != 0) return cmp;
+  }
+  if (key_columns_.size() < probe.size()) return -1;
+  if (key_columns_.size() > probe.size()) return 1;
+  return 0;
+}
+
+size_t OrderedIndex::Bound(const Row& probe, bool strict) const {
+  auto it = std::partition_point(ids_.begin(), ids_.end(), [&](uint32_t id) {
+    int cmp = CompareKey((*rows_)[id], probe);
+    return strict ? cmp <= 0 : cmp < 0;
+  });
+  return static_cast<size_t>(it - ids_.begin());
+}
+
+std::vector<size_t> OrderedIndex::Ids(size_t begin, size_t end) const {
+  if (end <= begin) return {};
+  return std::vector<size_t>(ids_.begin() + begin, ids_.begin() + end);
+}
+
+void OrderedIndex::Build() {
+  ICEBERG_CHECK(rows_->size() <= UINT32_MAX);
+  ids_.resize(rows_->size());
+  std::iota(ids_.begin(), ids_.end(), 0u);
+  std::stable_sort(ids_.begin(), ids_.end(), [&](uint32_t a, uint32_t b) {
+    return CompareKeys((*rows_)[a], (*rows_)[b]) < 0;
+  });
 }
 
 void OrderedIndex::Insert(const Row& row, size_t row_id) {
-  entries_.emplace(ExtractKey(row), row_id);
+  ICEBERG_CHECK(row_id <= UINT32_MAX);
+  auto pos = std::partition_point(ids_.begin(), ids_.end(), [&](uint32_t id) {
+    return CompareKeys((*rows_)[id], row) <= 0;
+  });
+  ids_.insert(pos, static_cast<uint32_t>(row_id));
 }
 
 std::vector<size_t> OrderedIndex::Lookup(const Row& key) const {
-  std::vector<size_t> out;
-  auto range = entries_.equal_range(key);
-  for (auto it = range.first; it != range.second; ++it) {
-    out.push_back(it->second);
-  }
-  return out;
+  return Ids(Bound(key, /*strict=*/false), Bound(key, /*strict=*/true));
 }
 
 std::vector<size_t> OrderedIndex::RangeLookup(const Row& low,
                                               const Row& high) const {
-  std::vector<size_t> out;
-  auto it = entries_.lower_bound(low);
-  for (; it != entries_.end(); ++it) {
-    if (CompareRows(it->first, high) > 0) break;
-    out.push_back(it->second);
-  }
-  return out;
+  return Ids(Bound(low, /*strict=*/false), Bound(high, /*strict=*/true));
 }
 
 std::vector<size_t> OrderedIndex::LowerBoundScan(const Row& low,
                                                  bool strict) const {
-  std::vector<size_t> out;
-  auto it = strict ? entries_.upper_bound(low) : entries_.lower_bound(low);
-  for (; it != entries_.end(); ++it) {
-    out.push_back(it->second);
-  }
-  return out;
+  return Ids(Bound(low, strict), ids_.size());
 }
 
 std::vector<size_t> OrderedIndex::UpperBoundScan(const Row& high) const {
-  std::vector<size_t> out;
-  for (auto it = entries_.begin(); it != entries_.end(); ++it) {
-    // Compare only the first high.size() key columns so a partial bound on
-    // an index prefix includes all rows sharing the boundary prefix.
-    bool within = true;
-    for (size_t i = 0; i < high.size() && i < it->first.size(); ++i) {
-      int c = it->first[i].Compare(high[i]);
-      if (c > 0) {
-        within = false;
-        break;
-      }
-      if (c < 0) break;
+  // Compare only the first high.size() key columns so a partial bound on
+  // an index prefix includes all rows sharing the boundary prefix.
+  const size_t n = std::min(key_columns_.size(), high.size());
+  auto end = std::partition_point(ids_.begin(), ids_.end(), [&](uint32_t id) {
+    const Row& row = (*rows_)[id];
+    for (size_t i = 0; i < n; ++i) {
+      int cmp = row[key_columns_[i]].Compare(high[i]);
+      if (cmp != 0) return cmp < 0;
     }
-    if (!within) break;
-    out.push_back(it->second);
-  }
-  return out;
+    return true;
+  });
+  return Ids(0, static_cast<size_t>(end - ids_.begin()));
 }
 
 size_t OrderedIndex::ApproxBytes() const {
-  size_t bytes = sizeof(*this) + key_columns_.capacity() * sizeof(size_t);
-  for (const auto& entry : entries_) {
-    bytes += kTreeNodeOverhead + sizeof(entry) + RowFootprint(entry.first);
-  }
-  return bytes;
+  return sizeof(*this) + key_columns_.capacity() * sizeof(size_t) +
+         ids_.capacity() * sizeof(uint32_t);
 }
 
 size_t HashIndex::ApproxBytes() const {

@@ -32,10 +32,7 @@ Result<size_t> Table::BuildOrderedIndex(
     ICEBERG_ASSIGN_OR_RETURN(size_t idx, schema_.GetColumnIndex(c));
     cols.push_back(idx);
   }
-  auto index = std::make_unique<OrderedIndex>(cols);
-  for (size_t i = 0; i < rows_.size(); ++i) index->Insert(rows_[i], i);
-  ordered_indexes_.push_back(std::move(index));
-  return ordered_indexes_.size() - 1;
+  return BuildOrderedIndexByIds(std::move(cols));
 }
 
 Result<size_t> Table::BuildHashIndex(const std::vector<std::string>& columns) {
@@ -64,8 +61,8 @@ void Table::SortRowsCanonical() {
 }
 
 size_t Table::BuildOrderedIndexByIds(std::vector<size_t> columns) {
-  auto index = std::make_unique<OrderedIndex>(std::move(columns));
-  for (size_t i = 0; i < rows_.size(); ++i) index->Insert(rows_[i], i);
+  auto index = std::make_unique<OrderedIndex>(std::move(columns), &rows_);
+  index->Build();
   ordered_indexes_.push_back(std::move(index));
   return ordered_indexes_.size() - 1;
 }

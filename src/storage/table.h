@@ -54,6 +54,7 @@ class Table {
         rows_(std::move(other.rows_)),
         ordered_indexes_(std::move(other.ordered_indexes_)),
         hash_indexes_(std::move(other.hash_indexes_)) {
+    for (auto& idx : ordered_indexes_) idx->rows_ = &rows_;
     version_.store(other.version_.load(std::memory_order_relaxed),
                    std::memory_order_relaxed);
   }
@@ -83,7 +84,8 @@ class Table {
   /// tables (query results).
   void SortRowsCanonical();
 
-  /// Builds an ordered (B-tree-like) index over the named columns.
+  /// Builds an ordered index (row ids sorted by key) over the named
+  /// columns.
   Result<size_t> BuildOrderedIndex(const std::vector<std::string>& columns);
 
   /// Builds a hash index over the named columns.

@@ -7,9 +7,11 @@
 
 #include <algorithm>
 #include <memory>
+#include <string>
 
 #include "src/engine/database.h"
 #include "src/exec/governor.h"
+#include "src/nljp/shared_cache.h"
 #include "src/workload/object.h"
 
 namespace iceberg {
@@ -264,6 +266,67 @@ TEST_F(GovernedQueryTest, ProbeCancelsMidJoinOnIceberg) {
   Result<TablePtr> r = db_.QueryIceberg(kSkyband, options);
   ASSERT_FALSE(r.ok());
   EXPECT_TRUE(r.status().IsCancelled()) << r.status().ToString();
+}
+
+// A warm run through a registry cache that trips its governor leaves no
+// answer behind, although it evaluated no inner query: only a clean
+// zero-evaluation run records the answer that later runs replay.
+TEST_F(GovernedQueryTest, FailedWarmRunRecordsNoAnswer) {
+  GovernorProbe groups;
+  groups.on_reserve = [](size_t, size_t, const char* tag) {
+    return std::string(tag) == "nljp-groups"
+               ? Status::ResourceExhausted("injected at nljp-groups")
+               : Status::OK();
+  };
+  GovernorProbe cancel;
+  cancel.on_check = [](size_t ordinal) {
+    return ordinal == 600 ? Status::Cancelled("injected cancel")
+                          : Status::OK();
+  };
+  for (const GovernorProbe& trip : {groups, cancel}) {
+    NljpCacheRegistry registry;
+    auto run = [&](const GovernorProbe& probe, IcebergReport* report) {
+      IcebergOptions options = IcebergOptions::All();
+      options.base_exec.num_threads = 1;
+      options.cache_registry = &registry;
+      options.cache_key = 0x7;
+      QueryGovernor::Limits generous;
+      generous.memory_budget_bytes = 64u << 20;
+      options.governor = std::make_shared<QueryGovernor>(generous, probe);
+      return db_.QueryIceberg(kSkyband, options, report);
+    };
+    const std::string kind = trip.on_check ? "cancel" : "nljp-groups";
+    IcebergReport cold;
+    Result<TablePtr> first = run(GovernorProbe(), &cold);
+    ASSERT_TRUE(first.ok()) << kind << ": " << first.status().ToString();
+    ASSERT_TRUE(cold.used_nljp) << kind;
+    EXPECT_GT(cold.nljp_stats.inner_evaluations, 0u) << kind;
+
+    IcebergReport tripped;
+    Result<TablePtr> failed = run(trip, &tripped);
+    ASSERT_FALSE(failed.ok()) << kind;
+    EXPECT_TRUE(failed.status().IsCancelled() ||
+                failed.status().IsResourceExhausted())
+        << kind << ": " << failed.status().ToString();
+
+    // The next generous run loops: the tripped run recorded nothing.
+    IcebergReport second;
+    Result<TablePtr> looped = run(GovernorProbe(), &second);
+    ASSERT_TRUE(looped.ok()) << kind << ": " << looped.status().ToString();
+    ExpectSame(base_, *looped);
+    EXPECT_EQ(second.nljp_stats.answer_replays, 0u) << kind;
+    EXPECT_EQ(second.nljp_stats.inner_evaluations, 0u) << kind;
+    EXPECT_GT(second.nljp_stats.bindings_total, 0u) << kind;
+
+    // That clean zero-evaluation run recorded the answer.
+    IcebergReport third;
+    Result<TablePtr> replayed = run(GovernorProbe(), &third);
+    ASSERT_TRUE(replayed.ok()) << kind << ": "
+                               << replayed.status().ToString();
+    ExpectSame(base_, *replayed);
+    EXPECT_EQ(third.nljp_stats.answer_replays, 1u) << kind;
+    EXPECT_EQ(third.nljp_stats.bindings_total, 0u) << kind;
+  }
 }
 
 TEST_F(GovernedQueryTest, ProbeCancelsParallelBaseline) {

@@ -273,6 +273,49 @@ TEST(NljpWorkCounters, WarmRegistryCacheAtOneThread) {
             "bindings=3000 memo_hits=128 pruned=2872 inner_evals=0"
             " prune_tests=3672");
   EXPECT_EQ(registry.num_caches(), 1u);
+
+  // Run 2 evaluated no inner query, so it recorded its answer: run 3
+  // replays it without streaming a binding.
+  IcebergReport replay;
+  Result<TablePtr> third = db->QueryIceberg(sql, options, &replay);
+  ASSERT_TRUE(third.ok()) << third.status().ToString();
+  ExpectSame(*first, *third, "replayed answer");
+  const NljpStats& r = replay.nljp_stats;
+  EXPECT_EQ("answer_replays=" + std::to_string(r.answer_replays) +
+                " bindings=" + std::to_string(r.bindings_total) +
+                " memo_hits=" + std::to_string(r.memo_hits) +
+                " pruned=" + std::to_string(r.pruned) +
+                " inner_evals=" + std::to_string(r.inner_evaluations),
+            "answer_replays=1 bindings=0 memo_hits=0 pruned=0 inner_evals=0");
+  EXPECT_EQ(registry.num_caches(), 1u);
+}
+
+// An answer with more rows than the registry's per-cache entry bound is
+// never recorded: every warm run loops, with the same work as run 2 above.
+TEST(NljpWorkCounters, AnswerAboveEntryBoundNeverReplays) {
+  std::unique_ptr<Database> db = bench::MakeScoreDb(3000);
+  const std::string sql = bench::Figure1Queries()[0].sql;
+  Result<TablePtr> direct = db->QueryIceberg(sql);
+  ASSERT_TRUE(direct.ok()) << direct.status().ToString();
+  // Room for Q1's 37 cache entries, one row short of its answer.
+  const size_t bound = (*direct)->num_rows() - 1;
+  ASSERT_GE(bound, 37u);
+  NljpCacheRegistry registry(/*max_caches=*/8, bound);
+  IcebergOptions options = IcebergOptions::All();
+  options.base_exec.num_threads = 1;
+  options.cache_registry = &registry;
+  options.cache_key = 0x51;
+  for (int run = 1; run <= 4; ++run) {
+    IcebergReport report;
+    Result<TablePtr> result = db->QueryIceberg(sql, options, &report);
+    ASSERT_TRUE(result.ok()) << result.status().ToString();
+    ExpectSame(*direct, *result, "run " + std::to_string(run));
+    EXPECT_EQ(report.nljp_stats.answer_replays, 0u) << "run " << run;
+    EXPECT_EQ(report.nljp_stats.bindings_total, 3000u) << "run " << run;
+    if (run > 1) {
+      EXPECT_EQ(report.nljp_stats.inner_evaluations, 0u) << "run " << run;
+    }
+  }
 }
 
 TEST(Nljp, BindingOrderDoesNotChangeResults) {

@@ -1,17 +1,20 @@
 // Serving-layer units: admission control (queue bound, shed order, budget
 // apportionment), retry policy determinism, statement shapes, snapshot
 // pinning, cross-query cache promotion, and the per-attempt governor
-// lifecycle (no double counting under retries).
+// lifecycle (no double counting under retries), and served answers
+// against direct ones while warm statements replay recorded NLJP answers.
 
 #include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <mutex>
+#include <string>
 #include <thread>
 #include <vector>
 
 #include <gtest/gtest.h>
 
+#include "bench/workload_queries.h"
 #include "src/engine/database.h"
 #include "src/nljp/shared_cache.h"
 #include "src/obs/metrics.h"
@@ -349,6 +352,134 @@ TEST(CacheRegistryTest, ServerPromotesCachesAcrossStatements) {
   ASSERT_TRUE(third.status.ok());
   EXPECT_GT(server.cache_registry().num_caches(), caches_after_first)
       << "mutation must rotate the cross-query cache key";
+}
+
+// ---------------------------------------------------------------------------
+// Served answers equal direct ones, warm or cold
+// ---------------------------------------------------------------------------
+
+// Rows in order, rendered: canonical output order is part of the answer.
+std::vector<std::string> Rendered(const Table& table) {
+  std::vector<std::string> out;
+  for (const Row& row : table.rows()) out.push_back(RowToString(row));
+  return out;
+}
+
+// A WITH body and the outer block each run their own NLJP. Both used to
+// share the statement's one registry cache, so the second operator to run
+// probed memo entries the first had cached under its own binding codec:
+// on every run the served answer came back with 36 rows instead of 33.
+TEST(ServedNljpTest, EachNljpBlockOfAStatementHasItsOwnCache) {
+  std::unique_ptr<Database> db = bench::MakeScoreDb(3000);
+  const std::string dominance =
+      "L.hits <= R.hits AND L.hruns <= R.hruns AND "
+      "(L.hits < R.hits OR L.hruns < R.hruns)";
+  const std::string sql =
+      "WITH s AS (SELECT L.pid, L.year, L.round, L.hits, L.hruns, "
+      "COUNT(*) AS c FROM score L, score R WHERE " + dominance +
+      " GROUP BY L.pid, L.year, L.round HAVING COUNT(*) <= 200) "
+      "SELECT L.pid, L.year, L.round, COUNT(*) FROM s L, s R WHERE " +
+      dominance + " GROUP BY L.pid, L.year, L.round HAVING COUNT(*) <= 20";
+  Result<TablePtr> direct = db->QueryIceberg(sql);
+  ASSERT_TRUE(direct.ok()) << direct.status().ToString();
+  Result<TablePtr> baseline = db->Query(sql);
+  ASSERT_TRUE(baseline.ok()) << baseline.status().ToString();
+  ASSERT_EQ(Rendered(**direct), Rendered(**baseline));
+  ASSERT_GT((*direct)->num_rows(), 0u);
+
+  ServerConfig config;
+  config.retry = RetryPolicy::None();
+  IcebergServer server(db.get(), config);
+  auto session = server.OpenSession();
+  for (int run = 1; run <= 3; ++run) {
+    QueryOutcome outcome = session->Execute(sql);
+    ASSERT_TRUE(outcome.status.ok()) << outcome.status.ToString();
+    ASSERT_TRUE(outcome.report.used_nljp);
+    EXPECT_EQ(Rendered(*outcome.table), Rendered(**direct)) << "run " << run;
+  }
+  EXPECT_EQ(server.cache_registry().num_caches(), 2u)
+      << "one registry cache per NLJP operator";
+}
+
+// Fig. 1's Q1-Q8, served four times each through one session: every run
+// equals the direct answer, and from the third run on a statement whose
+// NLJP found its registry cache complete replays the recorded answer
+// without streaming a binding. A mutation and a shed storm each force the
+// next run back through the loop.
+TEST(ServedNljpTest, WarmStatementsReplayTheDirectAnswer) {
+  std::unique_ptr<Database> db = bench::MakeScoreDb(3000);
+  const std::vector<bench::NamedQuery> queries = bench::Figure1Queries();
+  ServerConfig config;
+  config.retry = RetryPolicy::None();
+  IcebergServer server(db.get(), config);
+  auto session = server.OpenSession();
+
+  auto direct_answers = [&] {
+    std::vector<std::vector<std::string>> out;
+    for (const bench::NamedQuery& q : queries) {
+      Result<TablePtr> direct = db->QueryIceberg(q.sql);
+      EXPECT_TRUE(direct.ok()) << q.name << ": " << direct.status().ToString();
+      out.push_back(direct.ok() ? Rendered(**direct)
+                                : std::vector<std::string>{});
+    }
+    return out;
+  };
+  // One run of every statement: each equals its direct answer, and the
+  // run's NLJP stats are returned.
+  auto serve_all = [&](const std::vector<std::vector<std::string>>& expected,
+                       const std::string& context) {
+    std::vector<NljpStats> stats;
+    for (size_t i = 0; i < queries.size(); ++i) {
+      QueryOutcome outcome = session->Execute(queries[i].sql);
+      EXPECT_TRUE(outcome.status.ok())
+          << queries[i].name << ": " << outcome.status.ToString();
+      if (!outcome.status.ok()) {
+        stats.emplace_back();
+        continue;
+      }
+      EXPECT_TRUE(outcome.report.used_nljp) << queries[i].name;
+      EXPECT_EQ(Rendered(*outcome.table), expected[i])
+          << queries[i].name << " (" << context << ")";
+      stats.push_back(outcome.report.nljp_stats);
+    }
+    return stats;
+  };
+
+  std::vector<std::vector<std::string>> expected = direct_answers();
+  for (int run = 1; run <= 4; ++run) {
+    const std::string context = "run " + std::to_string(run);
+    std::vector<NljpStats> stats = serve_all(expected, context);
+    for (size_t i = 0; i < stats.size(); ++i) {
+      if (run < 3) {
+        EXPECT_EQ(stats[i].answer_replays, 0u)
+            << queries[i].name << " " << context;
+      } else {
+        EXPECT_EQ(stats[i].answer_replays, 1u)
+            << queries[i].name << " " << context;
+        EXPECT_EQ(stats[i].bindings_total, 0u)
+            << queries[i].name << " " << context;
+      }
+    }
+  }
+
+  // A mutation rotates every key: the next run loops again.
+  ASSERT_TRUE(server
+                  .Insert("score", {Value::Int(1000000), Value::Int(1985),
+                                    Value::Int(0), Value::Int(0),
+                                    Value::Int(0), Value::Int(0),
+                                    Value::Int(0), Value::Int(0)})
+                  .ok());
+  expected = direct_answers();
+  for (const NljpStats& s : serve_all(expected, "after insert")) {
+    EXPECT_EQ(s.answer_replays, 0u) << "after insert";
+  }
+  // The second run after the insert records the answers again, and a
+  // shed storm drops them with the caches' entries.
+  serve_all(expected, "second run after insert");
+  server.cache_registry().ShedAll();
+  for (const NljpStats& s : serve_all(expected, "after ShedAll")) {
+    EXPECT_EQ(s.answer_replays, 0u) << "after ShedAll";
+  }
 }
 
 // ---------------------------------------------------------------------------
