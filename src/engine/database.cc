@@ -14,6 +14,27 @@
 
 namespace iceberg {
 
+namespace {
+
+/// Registry key of one block of a statement: the statement's key refined
+/// by the block's position (a FROM slot or a WITH entry, tagged apart).
+/// The blocks of one statement may print equal plans yet differ in their
+/// select list, GROUP BY or inputs (two FROM-subqueries may each bind
+/// tables aliased L and R), so only the position tells their answers
+/// apart. Key 0 (no registry) stays 0.
+IcebergOptions BlockOptions(const IcebergOptions& statement,
+                            uint64_t position) {
+  IcebergOptions options = statement;
+  uint64_t& key = options.cache_key;
+  if (key != 0) {
+    key ^= (position + 1) * 0x9e3779b97f4a7c15ull + (key << 6) + (key >> 2);
+    if (key == 0) key = 1;
+  }
+  return options;
+}
+
+}  // namespace
+
 Status Database::CreateTable(const std::string& name, Schema schema) {
   std::string key = ToLower(name);
   if (tables_.count(key) > 0) {
@@ -192,12 +213,14 @@ Result<CatalogEntry> Database::Materialize(
   // under their aliases.
   std::map<std::string, CatalogEntry> inline_tables;
   ParsedSelect rewritten = select;
-  for (ParsedTableRef& ref : rewritten.from) {
+  for (size_t i = 0; i < rewritten.from.size(); ++i) {
+    ParsedTableRef& ref = rewritten.from[i];
     if (ref.subquery == nullptr) continue;
     ICEBERG_ASSIGN_OR_RETURN(
         CatalogEntry entry,
-        Materialize(*ref.subquery, scope, use_iceberg, iceberg_options, exec,
-                    stats, report));
+        Materialize(*ref.subquery, scope, use_iceberg,
+                    BlockOptions(iceberg_options, 2 * i), exec, stats,
+                    report));
     entry.table->SetName(ref.alias);
     std::string key = ToLower(ref.alias);
     if (inline_tables.count(key) > 0) {
@@ -401,11 +424,13 @@ Result<TablePtr> Database::QueryIcebergImpl(const std::string& sql,
     }
   }
   std::map<std::string, CatalogEntry> scope;
-  for (const auto& [name, cte] : parsed.ctes) {
+  for (size_t i = 0; i < parsed.ctes.size(); ++i) {
+    const auto& [name, cte] = parsed.ctes[i];
     ICEBERG_ASSIGN_OR_RETURN(
         CatalogEntry entry,
-        Materialize(*cte, scope, /*use_iceberg=*/true, options,
-                    options.base_exec, nullptr, report));
+        Materialize(*cte, scope, /*use_iceberg=*/true,
+                    BlockOptions(options, 2 * i + 1), options.base_exec,
+                    nullptr, report));
     entry.table->SetName(name);
     scope.emplace(ToLower(name), std::move(entry));
   }

@@ -394,10 +394,11 @@ Result<std::unique_ptr<NljpOperator>> NljpOperator::Create(
   op->gr_codec_ = CodecForExprs(op->inner_gr_exprs_, inner_types);
 
   op->explain_ = op->RenderExplain();
-  // The caller's key names the statement and catalog version, and every
-  // NLJP block of the statement receives it. Each block's operator has its
-  // own codecs, payload layout and answer, so the key is refined by what
-  // identifies this operator: its plan text.
+  // The caller's key names the statement, the catalog version and this
+  // block's position in the statement (Database::Materialize). One block
+  // can still be planned differently from run to run (a replayed or a
+  // fresh plan may pick another partition), and each plan has its own
+  // codecs and payload layout, so the key is refined by the plan text.
   uint64_t& key = op->options_.cache_key;
   if (key != 0) {
     key ^= std::hash<std::string>()(op->explain_) + 0x9e3779b97f4a7c15ull +

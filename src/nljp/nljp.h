@@ -99,9 +99,10 @@ struct NljpOptions {
   /// iceberg queries from any session reuse memo entries and pruning
   /// witnesses. Registry caches are entry-bounded, striped at any thread
   /// count, and never governor-charged (they outlive the query's
-  /// governor). Create refines the key with a hash of the operator's own
-  /// Explain() text, so each NLJP block of a statement (WITH bodies,
-  /// FROM-subqueries, the outer block) gets its own cache.
+  /// governor). The engine refines the key per block of a statement
+  /// (WITH bodies, FROM-subqueries, the outer block) by its position, and
+  /// Create refines it with a hash of the operator's own Explain() text,
+  /// so each block and each plan of it gets its own cache.
   NljpCacheRegistry* cache_registry = nullptr;
   uint64_t cache_key = 0;
   /// Plan-cache replay: inject previously derived artifacts instead of

@@ -94,7 +94,8 @@ struct IcebergOptions {
 
   /// Cross-query NLJP cache promotion (set by the serving layer): when
   /// both are set, the NLJP operator fetches its memo/prune cache from the
-  /// registry under `cache_key` (statement fingerprint + catalog version)
+  /// registry under `cache_key` (statement fingerprint + catalog version,
+  /// refined per block by Database::Materialize)
   /// so repeated iceberg statements reuse pruning witnesses across
   /// sessions. See NljpOptions::cache_registry.
   NljpCacheRegistry* cache_registry = nullptr;

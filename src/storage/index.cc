@@ -32,20 +32,22 @@ int OrderedIndex::CompareKeys(const Row& a, const Row& b) const {
   return 0;
 }
 
-int OrderedIndex::CompareKey(const Row& row, const Row& probe) const {
+int OrderedIndex::CompareKey(const Row& row, const Row& probe,
+                             bool prefix) const {
   const size_t n = std::min(key_columns_.size(), probe.size());
   for (size_t i = 0; i < n; ++i) {
     int cmp = row[key_columns_[i]].Compare(probe[i]);
     if (cmp != 0) return cmp;
   }
+  if (prefix) return 0;
   if (key_columns_.size() < probe.size()) return -1;
   if (key_columns_.size() > probe.size()) return 1;
   return 0;
 }
 
-size_t OrderedIndex::Bound(const Row& probe, bool strict) const {
+size_t OrderedIndex::Bound(const Row& probe, bool strict, bool prefix) const {
   auto it = std::partition_point(ids_.begin(), ids_.end(), [&](uint32_t id) {
-    int cmp = CompareKey((*rows_)[id], probe);
+    int cmp = CompareKey((*rows_)[id], probe, prefix);
     return strict ? cmp <= 0 : cmp < 0;
   });
   return static_cast<size_t>(it - ids_.begin());
@@ -88,18 +90,9 @@ std::vector<size_t> OrderedIndex::LowerBoundScan(const Row& low,
 }
 
 std::vector<size_t> OrderedIndex::UpperBoundScan(const Row& high) const {
-  // Compare only the first high.size() key columns so a partial bound on
-  // an index prefix includes all rows sharing the boundary prefix.
-  const size_t n = std::min(key_columns_.size(), high.size());
-  auto end = std::partition_point(ids_.begin(), ids_.end(), [&](uint32_t id) {
-    const Row& row = (*rows_)[id];
-    for (size_t i = 0; i < n; ++i) {
-      int cmp = row[key_columns_[i]].Compare(high[i]);
-      if (cmp != 0) return cmp < 0;
-    }
-    return true;
-  });
-  return Ids(0, static_cast<size_t>(end - ids_.begin()));
+  // A partial bound on an index prefix includes all rows sharing the
+  // boundary prefix.
+  return Ids(0, Bound(high, /*strict=*/true, /*prefix=*/true));
 }
 
 size_t OrderedIndex::ApproxBytes() const {

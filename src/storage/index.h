@@ -66,9 +66,11 @@ class OrderedIndex {
   /// Compares two full rows on the key columns.
   int CompareKeys(const Row& a, const Row& b) const;
   /// CompareRows(key of `row`, probe), reading the key columns in place.
-  int CompareKey(const Row& row, const Row& probe) const;
+  /// `prefix` compares only the first probe.size() key columns (no length
+  /// tie-break).
+  int CompareKey(const Row& row, const Row& probe, bool prefix) const;
   /// First position whose key is not below `probe` (`strict`: above it).
-  size_t Bound(const Row& probe, bool strict) const;
+  size_t Bound(const Row& probe, bool strict, bool prefix = false) const;
   std::vector<size_t> Ids(size_t begin, size_t end) const;
 
   std::vector<size_t> key_columns_;

@@ -401,6 +401,82 @@ TEST(ServedNljpTest, EachNljpBlockOfAStatementHasItsOwnCache) {
       << "one registry cache per NLJP operator";
 }
 
+// Two NLJP blocks of one statement whose operators print the same plan
+// text: they differ only in the select list or GROUP BY, or read different
+// tables under one name (a FROM-subquery alias in each of two nested
+// blocks). Whichever runs second with zero inner evaluations would record
+// its answer in a shared cache, and the other would replay it.
+TEST(ServedNljpTest, BlocksWithEqualPlanTextKeepTheirOwnAnswers) {
+  std::unique_ptr<Database> db = bench::MakeScoreDb(3000);
+  const std::string dominance =
+      "L.hits <= R.hits AND L.hruns <= R.hruns AND "
+      "(L.hits < R.hits OR L.hruns < R.hruns)";
+  const std::string key = "L.pid, L.year, L.round";
+  auto skyband = [&](const std::string& select, const std::string& from,
+                     const std::string& group_by) {
+    return "SELECT " + select + " FROM " + from + " WHERE " + dominance +
+           " GROUP BY " + group_by + " HAVING COUNT(*) <= 20";
+  };
+  const std::string score_pair = "score L, score R";
+  // The outer blocks join the two answers on round: few values, so every
+  // row of each answer shows in the result.
+  const std::vector<std::string> statements = {
+      // Same operator, different projection.
+      "WITH a AS (" + skyband(key + ", COUNT(*) AS c", score_pair, key) +
+          "), b AS (" +
+          skyband(key + ", COUNT(*) + 1 AS c", score_pair, key) +
+          ") SELECT a.pid, a.year, a.c, b.pid, b.year, b.c FROM a, b "
+          "WHERE a.round = b.round",
+      // Same operator, different G_L and arity.
+      "WITH a AS (" + skyband(key + ", COUNT(*) AS c", score_pair, key) +
+          "), b AS (" +
+          skyband(key + ", L.teamid, COUNT(*) AS c", score_pair,
+                  key + ", L.teamid") +
+          ") SELECT a.pid, a.year, a.c, b.pid, b.teamid, b.c FROM a, b "
+          "WHERE a.round = b.round",
+      // Equal block text over different inputs named L and R.
+      "SELECT a.pid, a.year, a.c, b.pid, b.year, b.c FROM (" +
+          skyband(key + ", COUNT(*) AS c",
+                  "(SELECT pid, year, round, hits, hruns FROM score "
+                  "WHERE year < 1990) L, "
+                  "(SELECT pid, year, round, hits, hruns FROM score "
+                  "WHERE year < 1990) R",
+                  key) +
+          ") a, (" +
+          skyband(key + ", COUNT(*) AS c",
+                  "(SELECT pid, year, round, hits, hruns FROM score "
+                  "WHERE year >= 1990) L, "
+                  "(SELECT pid, year, round, hits, hruns FROM score "
+                  "WHERE year >= 1990) R",
+                  key) +
+          ") b WHERE a.round = b.round",
+  };
+
+  ServerConfig config;
+  config.retry = RetryPolicy::None();
+  IcebergServer server(db.get(), config);
+  auto session = server.OpenSession();
+  for (size_t i = 0; i < statements.size(); ++i) {
+    const std::string& sql = statements[i];
+    Result<TablePtr> direct = db->QueryIceberg(sql);
+    ASSERT_TRUE(direct.ok()) << i << ": " << direct.status().ToString();
+    Result<TablePtr> baseline = db->Query(sql);
+    ASSERT_TRUE(baseline.ok()) << i << ": " << baseline.status().ToString();
+    ASSERT_EQ(Rendered(**direct), Rendered(**baseline)) << "statement " << i;
+    ASSERT_GT((*direct)->num_rows(), 0u) << "statement " << i;
+    int64_t replays = 0;
+    for (int run = 1; run <= 4; ++run) {
+      QueryOutcome outcome = session->Execute(sql);
+      ASSERT_TRUE(outcome.status.ok()) << outcome.status.ToString();
+      ASSERT_TRUE(outcome.report.used_nljp) << "statement " << i;
+      EXPECT_EQ(Rendered(*outcome.table), Rendered(**direct))
+          << "statement " << i << " run " << run;
+      replays += outcome.report.nljp_stats.answer_replays;
+    }
+    EXPECT_GT(replays, 0) << "statement " << i << " never replayed";
+  }
+}
+
 // Fig. 1's Q1-Q8, served four times each through one session: every run
 // equals the direct answer, and from the third run on a statement whose
 // NLJP found its registry cache complete replays the recorded answer
