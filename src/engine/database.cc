@@ -1,6 +1,7 @@
 #include "src/engine/database.h"
 
 #include <algorithm>
+#include <cctype>
 #include <chrono>
 
 #include "src/common/logging.h"
@@ -123,7 +124,27 @@ std::vector<std::pair<std::string, TableSnapshot>> Database::SnapshotTables()
   return pins;
 }
 
-uint64_t Database::CatalogVersionHash() const {
+namespace {
+
+/// True when `name` occurs in `text` as a whole identifier.
+bool NamesIdentifier(const std::string& text, const std::string& name) {
+  auto ident = [](char c) {
+    return std::isalnum(static_cast<unsigned char>(c)) || c == '_';
+  };
+  for (size_t at = text.find(name); at != std::string::npos;
+       at = text.find(name, at + 1)) {
+    const size_t end = at + name.size();
+    if ((at == 0 || !ident(text[at - 1])) &&
+        (end == text.size() || !ident(text[end]))) {
+      return true;
+    }
+  }
+  return false;
+}
+
+}  // namespace
+
+uint64_t Database::HashTableVersions(const std::string* statement) const {
   // FNV-1a over (name, version, rows); map iteration is name-ordered so
   // the hash is deterministic for a given catalog state.
   uint64_t h = 1469598103934665603ull;
@@ -134,6 +155,7 @@ uint64_t Database::CatalogVersionHash() const {
     }
   };
   for (const auto& [name, entry] : tables_) {
+    if (statement != nullptr && !NamesIdentifier(*statement, name)) continue;
     for (char c : name) {
       h ^= static_cast<unsigned char>(c);
       h *= 1099511628211ull;
@@ -142,6 +164,14 @@ uint64_t Database::CatalogVersionHash() const {
     mix(entry.table->num_rows());
   }
   return h;
+}
+
+uint64_t Database::VersionHashOf(const std::string& statement) const {
+  return HashTableVersions(&statement);
+}
+
+uint64_t Database::CatalogVersionHash() const {
+  return HashTableVersions(nullptr);
 }
 
 Status Database::DropIndexes(const std::string& table) {

@@ -65,6 +65,15 @@ class Database {
   /// key cross-query caches so they invalidate lazily on mutation.
   uint64_t CatalogVersionHash() const;
 
+  /// Fingerprint of the versions of the tables `statement` can read:
+  /// every registered table whose name occurs in it as a whole
+  /// identifier. `statement` is lower-cased SQL (QueryShape::shape). A
+  /// statement reads only tables it names, so a cache keyed by this hash
+  /// rotates on every mutation that can change the statement's plan or
+  /// answer, and survives mutations of every other table. A table created
+  /// under a name the statement mentions also rotates it.
+  uint64_t VersionHashOf(const std::string& statement) const;
+
   // ---- Query execution ----
   /// Parses and runs `sql` on the baseline executor (full join, then
   /// grouping, then HAVING). CTEs and FROM-subqueries are materialized.
@@ -141,6 +150,10 @@ class Database {
       const ParsedSelect& select,
       const std::map<std::string, CatalogEntry>& scope,
       const std::map<std::string, CatalogEntry>& inline_tables);
+
+  /// FNV-1a over (name, version, rows) of every table, or of the tables
+  /// `statement` names when it is non-null.
+  uint64_t HashTableVersions(const std::string* statement) const;
 
   std::map<std::string, CatalogEntry> tables_;  // lower-cased name -> entry
 };

@@ -394,7 +394,7 @@ Result<std::unique_ptr<NljpOperator>> NljpOperator::Create(
   op->gr_codec_ = CodecForExprs(op->inner_gr_exprs_, inner_types);
 
   op->explain_ = op->RenderExplain();
-  // The caller's key names the statement, the catalog version and this
+  // The caller's key names the statement, its tables' versions and this
   // block's position in the statement (Database::Materialize). One block
   // can still be planned differently from run to run (a replayed or a
   // fresh plan may pick another partition), and each plan has its own

@@ -94,11 +94,11 @@ struct NljpOptions {
   GovernorPtr governor;
   /// Cross-query cache promotion: when `cache_registry` is non-null and
   /// `cache_key` nonzero, the memo/prune cache is fetched from the
-  /// registry (the serving layer keys it by statement fingerprint +
-  /// catalog version) instead of being built per query, so repeated
-  /// iceberg queries from any session reuse memo entries and pruning
-  /// witnesses. Registry caches are entry-bounded, striped at any thread
-  /// count, and never governor-charged (they outlive the query's
+  /// registry (the serving layer keys it by statement fingerprint + the
+  /// versions of the tables it names) instead of being built per query, so
+  /// repeated iceberg queries from any session reuse memo entries and
+  /// pruning witnesses. Registry caches are entry-bounded, striped at any
+  /// thread count, and never governor-charged (they outlive the query's
   /// governor). The engine refines the key per block of a statement
   /// (WITH bodies, FROM-subqueries, the outer block) by its position, and
   /// Create refines it with a hash of the operator's own Explain() text,

@@ -303,12 +303,11 @@ void SharedNljpCache::RecordAnswer(const std::vector<Row>& rows) {
 SharedNljpCachePtr NljpCacheRegistry::GetOrCreate(
     uint64_t key, const std::function<SharedNljpCache::Options()>& make) {
   std::lock_guard<std::mutex> lock(mu_);
-  for (auto it = caches_.begin(); it != caches_.end(); ++it) {
-    if (it->first == key) {
-      caches_.splice(caches_.begin(), caches_, it);  // MRU to front
-      ICEBERG_COUNTER("nljp.registry.hits")->Increment();
-      return caches_.front().second;
-    }
+  auto found = index_.find(key);
+  if (found != index_.end()) {
+    caches_.splice(caches_.begin(), caches_, found->second);  // MRU to front
+    ICEBERG_COUNTER("nljp.registry.hits")->Increment();
+    return caches_.front().second;
   }
   SharedNljpCache::Options opts = make();
   // Cross-query caches outlive any single query: never charge a per-query
@@ -319,8 +318,10 @@ SharedNljpCachePtr NljpCacheRegistry::GetOrCreate(
   }
   auto cache = std::make_shared<SharedNljpCache>(std::move(opts));
   caches_.emplace_front(key, cache);
+  index_[key] = caches_.begin();
   ICEBERG_COUNTER("nljp.registry.misses")->Increment();
   while (caches_.size() > max_caches_) {
+    index_.erase(caches_.back().first);
     caches_.pop_back();
     ICEBERG_COUNTER("nljp.registry.evicted_caches")->Increment();
   }
@@ -346,6 +347,7 @@ size_t NljpCacheRegistry::ShedAll() {
 void NljpCacheRegistry::Clear() {
   std::lock_guard<std::mutex> lock(mu_);
   caches_.clear();
+  index_.clear();
 }
 
 size_t NljpCacheRegistry::num_caches() const {

@@ -165,7 +165,7 @@ class SharedNljpCache {
   /// The operator's recorded output, or null. Memo entries are exact
   /// (Section 6) and pruning is exact (Theorem 3), so a run that answered
   /// every binding from this cache computed the statement's exact answer
-  /// for the key's statement and catalog version; replaying it skips Q_B
+  /// for the key's statement and table versions; replaying it skips Q_B
   /// and the binding loop.
   NljpAnswerPtr answer() const;
 
@@ -273,13 +273,15 @@ using SharedNljpCachePtr = std::shared_ptr<SharedNljpCache>;
 
 /// Promotes the memo/prune cache from per-query to cross-query: a bounded
 /// registry of SharedNljpCache instances keyed by (query fingerprint,
-/// catalog version) so repeated iceberg queries — from any session — reuse
-/// each other's memo entries and pruning witnesses.
+/// versions of the tables the statement names) so repeated iceberg
+/// queries — from any session — reuse each other's memo entries and
+/// pruning witnesses.
 ///
 /// Soundness: a cache key covers the full normalized statement text
 /// (literals included, so entries are exact results of *this* inner query)
-/// and the versions of every table, so any mutation rotates the key and the
-/// stale cache is simply never fetched again (lazy invalidation). In-flight
+/// and the versions of every table it names (Database::VersionHashOf), so
+/// any mutation that can change its answer rotates the key and the stale
+/// cache is simply never fetched again (lazy invalidation). In-flight
 /// queries holding the old shared_ptr finish against the snapshot they
 /// pinned; the registry drops its reference on eviction.
 ///
@@ -321,8 +323,11 @@ class NljpCacheRegistry {
   mutable std::mutex mu_;
   size_t max_caches_;
   size_t max_entries_per_cache_;
-  /// MRU-front list of (key, cache); small N, so linear scan beats a map.
-  std::list<std::pair<uint64_t, SharedNljpCachePtr>> caches_;
+  /// MRU-front list of (key, cache), and each key's node in it: a lookup
+  /// costs the same wherever the key sits in the recency order.
+  using Registered = std::pair<uint64_t, SharedNljpCachePtr>;
+  std::list<Registered> caches_;
+  std::unordered_map<uint64_t, std::list<Registered>::iterator> index_;
 };
 
 }  // namespace iceberg

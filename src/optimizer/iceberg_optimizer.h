@@ -16,7 +16,7 @@ namespace iceberg {
 
 /// The optimizer decisions captured for one statement shape, stored in the
 /// serving layer's PlanCache and replayed for later statements with the
-/// same shape over the same catalog version. A trace never stores
+/// same shape over the same table versions. A trace never stores
 /// literal-dependent *data* (reducer selections, memo entries) — those are
 /// recomputed per statement — only the *decisions* whose search is the
 /// expensive part of planning. Given a trace, each phase of the one
@@ -28,11 +28,12 @@ namespace iceberg {
 ///  - NLJP derivation artifacts (monotonicity class, pruning decision and
 ///    derived p>=) when they were literal-value-independent at capture.
 ///
-/// Soundness: the cache key pins the catalog version (mutation rotates
-/// the hash, so a stale trace misses), and `block_guard` pins the bound
-/// block's parameter-insensitive structure, catching the rare lexical
-/// shape collision (sign absorption, IN-list collapse). A guard mismatch
-/// or failed re-check replays nothing: the statement is planned by search.
+/// Soundness: the cache key pins the versions of the tables the shape
+/// names (their mutation rotates the hash, so a stale trace misses), and
+/// `block_guard` pins the bound block's parameter-insensitive structure,
+/// catching the rare lexical shape collision (sign absorption, IN-list
+/// collapse). A guard mismatch or failed re-check replays nothing: the
+/// statement is planned by search.
 struct PlanTrace {
   uint64_t block_guard = 0;
   /// FD-derived equality conjuncts (literal-free, bound to the block's
@@ -94,7 +95,7 @@ struct IcebergOptions {
 
   /// Cross-query NLJP cache promotion (set by the serving layer): when
   /// both are set, the NLJP operator fetches its memo/prune cache from the
-  /// registry under `cache_key` (statement fingerprint + catalog version,
+  /// registry under `cache_key` (statement fingerprint + table versions,
   /// refined per block by Database::Materialize)
   /// so repeated iceberg statements reuse pruning witnesses across
   /// sessions. See NljpOptions::cache_registry.

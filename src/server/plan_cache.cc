@@ -35,7 +35,7 @@ uint64_t PlanCache::MapKey(const Key& key) {
     h ^= v + 0x9e3779b97f4a7c15ull + (h << 6) + (h >> 2);
   };
   mix(key.shape_hash);
-  mix(key.catalog_hash);
+  mix(key.version_hash);
   mix(key.options_fp);
   return h;
 }
@@ -71,23 +71,23 @@ void PlanCache::Insert(const Key& key, const std::string& shape_text,
                      std::memory_order_relaxed);
 
   std::unique_lock<std::shared_mutex> lock(mu_);
-  // A mutation rotated the catalog hash since this shape was last cached:
+  // A mutation rotated the version hash since this shape was last cached:
   // the old generation's entry is unreachable now — drop it and account
   // the invalidation (distinguishing it from plain cold misses).
   auto gen = generations_.find(shape_key);
-  if (gen != generations_.end() && gen->second != key.catalog_hash) {
+  if (gen != generations_.end() && gen->second != key.version_hash) {
     Key stale = key;
-    stale.catalog_hash = gen->second;
+    stale.version_hash = gen->second;
     if (entries_.erase(MapKey(stale)) > 0) {
       ICEBERG_COUNTER("plan_cache.invalidations")->Increment();
     }
   }
-  generations_[shape_key] = key.catalog_hash;
+  generations_[shape_key] = key.version_hash;
   // Keep the generation map from outliving its purpose (it only informs
   // the invalidation counter).
   if (max_entries_ > 0 && generations_.size() > max_entries_ * 4) {
     generations_.clear();
-    generations_[shape_key] = key.catalog_hash;
+    generations_[shape_key] = key.version_hash;
   }
 
   auto it = entries_.find(map_key);

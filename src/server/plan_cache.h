@@ -20,19 +20,19 @@ namespace iceberg {
 uint64_t PlanOptionsFingerprint(const IcebergOptions& options);
 
 /// Process-wide cache of optimizer decision traces, keyed by
-/// (statement shape, catalog version, planning options). Repeated
-/// statements that differ only in literal values replay the captured
-/// decisions — skipping the scored a-priori search, the NLJP partition
-/// search, and (via artifact injection) the monotonicity scan and
-/// subsumption derivation — while every literal-dependent computation
+/// (statement shape, versions of the tables it names, planning options).
+/// Repeated statements that differ only in literal values replay the
+/// captured decisions — skipping the scored a-priori search, the NLJP
+/// partition search, and (via artifact injection) the monotonicity scan
+/// and subsumption derivation — while every literal-dependent computation
 /// (reducer evaluation, execution) reruns against the fresh literals.
 ///
 /// Soundness:
-///  - the catalog version hash is part of the key, so any mutation rotates
-///    the key and stale traces become unreachable (lazy invalidation, the
-///    same scheme as NljpCacheRegistry); Insert additionally drops the
-///    previous catalog generation's entry for the shape and counts it as
-///    plan_cache.invalidations;
+///  - the version hash of the tables the statement names is part of the
+///    key, so a mutation of any of them rotates the key and stale traces
+///    become unreachable (lazy invalidation, the same scheme as
+///    NljpCacheRegistry); Insert additionally drops the shape's entry of
+///    the previous generation and counts it as plan_cache.invalidations;
 ///  - Lookup verifies the stored literal-abstracted shape text, so a
 ///    64-bit shape-hash collision degrades to a miss, never a wrong trace;
 ///  - the optimizer re-verifies every recorded decision that is cheap to
@@ -50,7 +50,7 @@ class PlanCache {
 
   struct Key {
     uint64_t shape_hash = 0;    // QueryShape::shape_hash
-    uint64_t catalog_hash = 0;  // Database::CatalogVersionHash()
+    uint64_t version_hash = 0;  // Database::VersionHashOf(shape)
     uint64_t options_fp = 0;    // PlanOptionsFingerprint
   };
 
@@ -62,7 +62,7 @@ class PlanCache {
 
   /// Inserts a captured trace. Keeps the incumbent on a same-key race
   /// (first capture wins; both are valid). Drops the entry this shape had
-  /// under the previous catalog version, and evicts the least-recently
+  /// under the previous table versions, and evicts the least-recently
   /// used entry when full.
   void Insert(const Key& key, const std::string& shape_text,
               std::shared_ptr<const PlanTrace> trace);

@@ -98,13 +98,15 @@ QueryOutcome Session::Run(const std::string& sql, bool use_iceberg) {
       rec.retry_cause = prev_status_name;
     }
 
-    // --- Submit: pin every table's snapshot under the shared lock. ---
+    // --- Submit: pin every table's snapshot under the shared lock. The
+    // caches below are keyed by the versions of the tables the statement
+    // names, so a mutation of any other table leaves them warm. ---
     std::vector<std::pair<std::string, TableSnapshot>> pins;
-    uint64_t catalog_hash = 0;
+    uint64_t version_hash = 0;
     {
       std::shared_lock<std::shared_mutex> lock(server_->catalog_mu_);
       pins = server_->db_->SnapshotTables();
-      catalog_hash = server_->db_->CatalogVersionHash();
+      version_hash = server_->db_->VersionHashOf(shape.shape);
     }
 
     // --- Admission: blocks, queues bounded, or sheds (retryable). ---
@@ -155,17 +157,17 @@ QueryOutcome Session::Run(const std::string& sql, bool use_iceberg) {
           options.base_exec.governor = governor;
           options.base_exec.num_threads = threads;
           options.cache_registry = &server_->cache_registry_;
-          uint64_t key = shape.fingerprint ^ catalog_hash;
+          uint64_t key = shape.fingerprint ^ version_hash;
           options.cache_key = key != 0 ? key : 1;
           // Plan cache: replay the decision trace captured for this shape
-          // over this catalog version, or capture one on this (post-
+          // over these table versions, or capture one on this (post-
           // admission, snapshot-validated) attempt. The key pins shape,
-          // catalog version and planning options; the engine re-verifies
+          // table versions and planning options; the engine re-verifies
           // the trace and falls back to a full plan when it does not
           // transfer.
           PlanTrace capture_buf;
           std::shared_ptr<const PlanTrace> replay_trace;
-          PlanCache::Key pkey{shape.shape_hash, catalog_hash,
+          PlanCache::Key pkey{shape.shape_hash, version_hash,
                               PlanOptionsFingerprint(config.iceberg)};
           if (PlanCacheEnabled()) {
             replay_trace = server_->plan_cache_.Lookup(pkey, shape.shape);

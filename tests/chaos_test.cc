@@ -164,9 +164,9 @@ SoakTally RunSoak(uint64_t seed, int num_sessions,
 
   std::thread mutator;
   if (mutate_unrelated_table) {
-    // Concurrent mutation of a table the script never reads: rotates the
-    // catalog version (provoking snapshot conflicts and cache-key
-    // rotation) without changing any expected result.
+    // Concurrent mutation of a table the script never reads: provokes
+    // snapshot conflicts, but rotates no cache key of the script's
+    // statements and changes no expected result.
     mutator = std::thread([&] {
       int64_t i = 1;
       while (!stop_mutator.load(std::memory_order_acquire)) {

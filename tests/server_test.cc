@@ -288,6 +288,33 @@ TEST(SnapshotTest, MutationInvalidatesPins) {
       << "catalog hash must rotate on any table mutation";
 }
 
+TEST(SnapshotTest, VersionHashCoversOnlyNamedTables) {
+  Database db = MakeTinyDb();
+  ASSERT_TRUE(db.CreateTable("obj_2", Schema({{"id", DataType::kInt64}})).ok());
+  // "obj" occurs inside "obj_2", but not as a whole identifier.
+  const std::string reads_obj =
+      ComputeQueryShape("SELECT o.id FROM obj o WHERE o.x < 3").shape;
+  const std::string reads_obj_2 =
+      ComputeQueryShape("SELECT Obj_2.id FROM OBJ_2").shape;
+  const uint64_t obj_before = db.VersionHashOf(reads_obj);
+  const uint64_t obj_2_before = db.VersionHashOf(reads_obj_2);
+
+  ASSERT_TRUE(db.Insert("obj", {Value::Int(99), Value::Int(1), Value::Int(2)})
+                  .ok());
+  EXPECT_NE(db.VersionHashOf(reads_obj), obj_before);
+  EXPECT_EQ(db.VersionHashOf(reads_obj_2), obj_2_before)
+      << "a mutation of obj must not rotate a statement that reads obj_2";
+  ASSERT_TRUE(db.Insert("obj_2", {Value::Int(1)}).ok());
+  EXPECT_NE(db.VersionHashOf(reads_obj_2), obj_2_before);
+
+  // A table created under a name the statement mentions rotates it too.
+  const std::string reads_later =
+      ComputeQueryShape("SELECT * FROM later").shape;
+  const uint64_t later_before = db.VersionHashOf(reads_later);
+  ASSERT_TRUE(db.CreateTable("later", Schema({{"id", DataType::kInt64}})).ok());
+  EXPECT_NE(db.VersionHashOf(reads_later), later_before);
+}
+
 // ---------------------------------------------------------------------------
 // Cross-query NLJP cache registry
 // ---------------------------------------------------------------------------
@@ -311,6 +338,16 @@ TEST(CacheRegistryTest, ReusesByKeyAndEvictsLru) {
   EXPECT_EQ(registry.num_caches(), 2u);
   auto b_again = registry.GetOrCreate(2, make);
   EXPECT_NE(b.get(), b_again.get()) << "key 2 was evicted as LRU";
+
+  // Re-creating key 2 evicted key 1; key 3 stays, until Clear.
+  auto c = registry.GetOrCreate(3, make);
+  EXPECT_EQ(registry.GetOrCreate(3, make).get(), c.get());
+  EXPECT_NE(registry.GetOrCreate(1, make).get(), a.get())
+      << "key 1 was evicted when key 2 came back";
+  EXPECT_EQ(registry.num_caches(), 2u);
+  registry.Clear();
+  EXPECT_EQ(registry.num_caches(), 0u);
+  EXPECT_NE(registry.GetOrCreate(3, make).get(), c.get());
 }
 
 TEST(CacheRegistryTest, ServerPromotesCachesAcrossStatements) {
@@ -343,8 +380,8 @@ TEST(CacheRegistryTest, ServerPromotesCachesAcrossStatements) {
   ASSERT_TRUE(first.table != nullptr && second.table != nullptr);
   EXPECT_EQ(first.table->num_rows(), second.table->num_rows());
 
-  // A mutation rotates the catalog hash, so the same statement now keys a
-  // *new* cache (the stale one ages out of the MRU list).
+  // A mutation of obj rotates the version hash, so the same statement now
+  // keys a *new* cache (the stale one ages out of the MRU list).
   ASSERT_TRUE(server.Insert("obj", {Value::Int(100), Value::Int(2),
                                     Value::Int(3)})
                   .ok());
@@ -538,7 +575,8 @@ TEST(ServedNljpTest, WarmStatementsReplayTheDirectAnswer) {
     }
   }
 
-  // A mutation rotates every key: the next run loops again.
+  // Every statement reads score, so an insert into it rotates every key:
+  // the next run loops again.
   ASSERT_TRUE(server
                   .Insert("score", {Value::Int(1000000), Value::Int(1985),
                                     Value::Int(0), Value::Int(0),
@@ -556,6 +594,59 @@ TEST(ServedNljpTest, WarmStatementsReplayTheDirectAnswer) {
   for (const NljpStats& s : serve_all(expected, "after ShedAll")) {
     EXPECT_EQ(s.answer_replays, 0u) << "after ShedAll";
   }
+}
+
+// An insert rotates the registry and plan-cache keys of the statements
+// that name its table, and of no other statement.
+TEST(ServedNljpTest, InsertsIntoAnotherTableKeepAnswersWarm) {
+  std::unique_ptr<Database> db = bench::MakeScoreDb(3000);
+  ASSERT_TRUE(db->CreateTable("extra", Schema({{"id", DataType::kInt64}}))
+                  .ok());
+  ServerConfig config;
+  config.retry = RetryPolicy::None();
+  IcebergServer server(db.get(), config);
+  auto session = server.OpenSession();
+  const std::string sql = bench::SkybandSql("hits", "hruns", 50);
+
+  std::vector<std::string> expected;
+  auto direct_answer = [&] {
+    Result<TablePtr> direct = db->QueryIceberg(sql);
+    ASSERT_TRUE(direct.ok()) << direct.status().ToString();
+    expected = Rendered(**direct);
+  };
+  auto serve = [&](const std::string& context) {
+    QueryOutcome outcome = session->Execute(sql);
+    EXPECT_TRUE(outcome.status.ok())
+        << context << ": " << outcome.status.ToString();
+    if (!outcome.status.ok()) return IcebergReport();
+    EXPECT_EQ(Rendered(*outcome.table), expected) << context;
+    return outcome.report;
+  };
+
+  direct_answer();
+  serve("run 1");
+  serve("run 2");
+  EXPECT_EQ(serve("run 3").nljp_stats.answer_replays, 1u);
+
+  for (int64_t i = 0; i < 3; ++i) {
+    ASSERT_TRUE(server.Insert("extra", {Value::Int(i)}).ok());
+    IcebergReport report = serve("after an insert into extra");
+    EXPECT_EQ(report.nljp_stats.answer_replays, 1u)
+        << "an insert into a table the statement does not name";
+    EXPECT_EQ(report.plan_provenance, "hit");
+  }
+
+  // An all-zero row dominates no row, so the answer stays; the key rotates.
+  ASSERT_TRUE(server
+                  .Insert("score", {Value::Int(1000000), Value::Int(1985),
+                                    Value::Int(0), Value::Int(0),
+                                    Value::Int(0), Value::Int(0),
+                                    Value::Int(0), Value::Int(0)})
+                  .ok());
+  direct_answer();
+  IcebergReport report = serve("after an insert into score");
+  EXPECT_EQ(report.nljp_stats.answer_replays, 0u);
+  EXPECT_EQ(report.plan_provenance, "miss");
 }
 
 // ---------------------------------------------------------------------------
